@@ -64,7 +64,12 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into .grad over the loss's ancestry."""
+    """Accumulate d(loss)/d(leaf) into .grad for every leaf in the loss's ancestry.
+
+    A leaf is a tensor without parents. Interior gradients are dropped as
+    soon as they have been propagated, so after the call only leaves hold
+    a ``.grad``.
+    """
     if loss.data.size != 1:
         raise ValueError(f"non-scalar loss: shape {loss.data.shape}")
     tape = Tape.trace(loss)
@@ -78,6 +83,10 @@ def backward(loss: Tensor) -> None:
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += piece
+        # the nodes that consume this one sit later on the tape and have run,
+        # so its gradient was complete and now lives on in its parents; leaves
+        # never reach this line and keep theirs
+        node.grad = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -153,6 +162,13 @@ def transpose(a) -> Tensor:
         raise ValueError(f"transpose expects a matrix, got shape {a.data.shape}")
     out = Tensor(a.data.T, (a,))
     out._vjp = lambda g: (g.T,)
+    return out
+
+
+def reshape(a, shape) -> Tensor:
+    a = _as_tensor(a)
+    out = Tensor(a.data.reshape(shape), (a,))
+    out._vjp = lambda g: (g.reshape(a.data.shape),)
     return out
 
 
@@ -311,49 +327,6 @@ def take_pairs(a, rows, cols) -> Tensor:
     def vjp(g):
         grad = np.zeros_like(a.data)
         np.add.at(grad, (rows, cols), g)
-        return (grad,)
-
-    out._vjp = vjp
-    return out
-
-
-def segment_sum(a, segments, n_segments: int) -> Tensor:
-    """Sum rows of a into n_segments buckets given per-row segment ids."""
-    a = _as_tensor(a)
-    segments = np.asarray(segments, dtype=np.int64)
-    if segments.shape[0] != a.data.shape[0]:
-        raise ValueError(f"segment ids ({segments.shape[0]}) must match rows ({a.data.shape[0]})")
-    val = np.zeros((n_segments,) + a.data.shape[1:])
-    np.add.at(val, segments, a.data)
-    out = Tensor(val, (a,))
-    out._vjp = lambda g: (g[segments],)
-    return out
-
-
-def segment_max(a, segments, n_segments: int) -> Tensor:
-    """Per-segment max over rows; segment ids must be sorted ascending."""
-    a = _as_tensor(a)
-    segments = np.asarray(segments, dtype=np.int64)
-    if segments.shape[0] != a.data.shape[0]:
-        raise ValueError(f"segment ids ({segments.shape[0]}) must match rows ({a.data.shape[0]})")
-    if np.any(np.diff(segments) < 0):
-        raise ValueError("segment ids must be sorted for segment_max")
-    counts = np.bincount(segments, minlength=n_segments)
-    if np.any(counts == 0):
-        raise ValueError("every segment needs at least one row")
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    val = np.empty((n_segments,) + a.data.shape[1:])
-    arg = np.empty((n_segments,) + a.data.shape[1:], dtype=np.int64)
-    for s in range(n_segments):
-        block = a.data[starts[s] : starts[s] + counts[s]]
-        val[s] = block.max(axis=0)
-        arg[s] = starts[s] + block.argmax(axis=0)
-    out = Tensor(val, (a,))
-
-    def vjp(g):
-        grad = np.zeros_like(a.data)
-        cols = np.broadcast_to(np.arange(a.data.shape[1]), arg.shape)
-        np.add.at(grad, (arg.ravel(), cols.ravel()), g.ravel())
         return (grad,)
 
     out._vjp = vjp

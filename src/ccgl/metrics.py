@@ -10,6 +10,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .encoder import AttractionMatrix
+from .population import k_nearest, knn_edges
 
 HIST_BINS = 50
 
@@ -29,15 +30,12 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
     sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # 1-based midrank
-        i = j + 1
+    # each run of equal sorted scores spans positions first..last (0-based)
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], s.size] - 1
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat((first + last + 2) / 2.0, last - first + 1)  # 1-based midrank
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -148,8 +146,6 @@ def write_attraction_csv(summary: AttractionSummary, values_path, hist_path) -> 
 
 
 def _two_nearest(features: np.ndarray):
-    from .population import knn_edges
-
     edges = knn_edges(features, 2)
     diffs = features[edges[:, 0]] - features[edges[:, 1]]
     dists = np.sqrt((diffs * diffs).sum(axis=1))
@@ -233,7 +229,8 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
     """Scores and predictions from the k nearest training points.
 
     The score is the fraction of neighbours labelled 1; majority vote
-    predicts, with exact ties going to class 1.
+    predicts, with exact ties going to class 1. Distance ties pick the
+    lower training index, as in ``knn_edges``.
     """
     x_train = np.asarray(train_features, dtype=np.float64)
     y_train = np.asarray(train_labels)
@@ -245,9 +242,6 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
     sq_train = (x_train * x_train).sum(axis=1)
     sq_test = (x_test * x_test).sum(axis=1)
     dist = sq_test[:, None] + sq_train[None, :] - 2.0 * (x_test @ x_train.T)
-    scores = np.empty(x_test.shape[0])
-    for i in range(x_test.shape[0]):
-        order = np.argsort(dist[i], kind="stable")
-        scores[i] = float(y_train[order[:k]].mean())
+    scores = y_train[k_nearest(dist, k)].mean(axis=1)
     predictions = (scores >= 0.5).astype(np.int64)
     return scores, predictions

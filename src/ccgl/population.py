@@ -86,6 +86,33 @@ def population_from_embeddings(cohort, per_patient_views) -> PopulationGraph:
     )
 
 
+def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, nearest first.
+
+    Ties resolve toward the lower column index, so row i equals
+    ``np.argsort(dist[i], kind="stable")[:k]``. A partition finds each row's
+    k-th smallest value; every entry strictly below it is taken, plus the
+    lowest-index entries equal to it, and only those k are sorted.
+    """
+    rows = dist.shape[0]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    picked = dist <= kth
+    counts = picked.sum(axis=1)
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        raise ValueError(f"row {int(short[0])} has NaN distances; features must be finite")
+    surplus = np.flatnonzero(counts > k)
+    if surplus.size:
+        # more entries equal the k-th value than fit: keep the lowest-index ones
+        sub, cut = dist[surplus], kth[surplus]
+        closer, tied = sub < cut, sub == cut
+        room = k - closer.sum(axis=1, keepdims=True)
+        picked[surplus] = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = np.nonzero(picked)[1].reshape(rows, k)
+    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     """Directed edges i -> j to each node's k nearest neighbours (Euclidean).
 
@@ -99,18 +126,27 @@ def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     sq = (x * x).sum(axis=1)
     dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.fill_diagonal(dist, np.inf)
-    edges = np.empty((p * k, 2), dtype=np.int64)
-    for i in range(p):
-        order = np.argsort(dist[i], kind="stable")
-        edges[i * k : (i + 1) * k, 0] = i
-        edges[i * k : (i + 1) * k, 1] = order[:k]
-    return edges
+    return np.column_stack([np.repeat(np.arange(p), k), k_nearest(dist, k).ravel()])
 
 
-def _phi_t(x: Tensor, leaves: dict, prefix: str) -> Tensor:
-    """Two-layer fully connected map applied row-wise."""
-    h = ad.relu(ad.add(ad.matmul(x, leaves[f"{prefix}/w1"]), leaves[f"{prefix}/b1"]))
-    return ad.add(ad.matmul(h, leaves[f"{prefix}/w2"]), leaves[f"{prefix}/b2"])
+def _out_degree(edges: np.ndarray, n: int) -> int:
+    """k for edges that give every node exactly k out-edges, listed by source."""
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be an (E, 2) array, got shape {edges.shape}")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError(f"edge endpoints must lie in [0, {n - 1}]")
+    counts = np.bincount(edges[:, 0], minlength=n)
+    if np.any(counts == 0):
+        raise ValueError(f"isolated node {int(np.flatnonzero(counts == 0)[0])}")
+    k = int(counts[0])
+    uneven = np.flatnonzero(counts != k)
+    if uneven.size:
+        node = int(uneven[0])
+        raise ValueError(f"edges are not k-regular: node {node} has {counts[node]} out-edges, node 0 has {k}")
+    misplaced = np.flatnonzero(edges[:, 0] != np.repeat(np.arange(n), k))
+    if misplaced.size:
+        raise ValueError(f"edges are not sorted by source: node {int(edges[misplaced[0], 0])} is out of order")
+    return k
 
 
 def _edge_conv_t(
@@ -120,23 +156,39 @@ def _edge_conv_t(
     prefix: str,
     aggregation: str = "sum",
 ) -> Tensor:
-    n = x.data.shape[0]
-    src, dst = edges[:, 0], edges[:, 1]
-    counts = np.bincount(src, minlength=n)
-    if np.any(counts == 0):
-        raise ValueError(f"isolated node {int(np.flatnonzero(counts == 0)[0])}")
-    h_src = ad.gather_rows(x, src)
-    h_dst = ad.gather_rows(x, dst)
-    messages = _phi_t(ad.concat([h_src, ad.sub(h_dst, h_src)], axis=1), leaves, prefix)
+    """EdgeConv phi(x_i || x_j - x_i) aggregated over each node's k out-neighbours.
+
+    The first layer of phi is linear, so on edge (i, j) it equals
+    x_i (W_a - W_b) + x_j W_b with W_a, W_b the top and bottom halves of w1.
+    Both terms are projected once per node; only the hidden activations
+    exist per edge, as a (P, k, H) block.
+    """
+    if aggregation not in ("sum", "max"):
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    n, d = x.data.shape
+    k = _out_degree(edges, n)
+    w1 = leaves[f"{prefix}/w1"]
+    w2, b2 = leaves[f"{prefix}/w2"], leaves[f"{prefix}/b2"]
+    w_nbr = ad.gather_rows(w1, np.arange(d, 2 * d))
+    w_self = ad.sub(ad.gather_rows(w1, np.arange(d)), w_nbr)
+    a = ad.add(ad.matmul(x, w_self), leaves[f"{prefix}/b1"])
+    b = ad.matmul(x, w_nbr)
+    hidden = a.data.shape[1]
+    nbr = ad.reshape(ad.gather_rows(b, edges[:, 1]), (n, k, hidden))
+    h = ad.relu(ad.add(ad.reshape(a, (n, 1, hidden)), nbr))
     if aggregation == "sum":
-        return ad.segment_sum(messages, src, n)
-    if aggregation == "max":
-        return ad.segment_max(messages, src, n)
-    raise ValueError(f"unknown aggregation {aggregation!r}")
+        # the sum over neighbours commutes with the second linear layer
+        return ad.add(ad.matmul(ad.reduce_sum(h, axis=1), w2), ad.mul(b2, float(k)))
+    messages = ad.matmul(ad.reshape(h, (n * k, hidden)), w2)
+    return ad.add(ad.reduce_max(ad.reshape(messages, (n, k, -1)), axis=1), b2)
 
 
 def edge_conv(features: np.ndarray, edges: np.ndarray, phi_weights: dict, aggregation: str = "sum") -> np.ndarray:
-    """Aggregate phi(v_i || v_m - v_i) over each node's out-neighbours m."""
+    """Aggregate phi(v_i || v_m - v_i) over each node's out-neighbours m.
+
+    ``edges`` must give every node the same number of out-edges, listed in
+    order of source node, as ``knn_edges`` returns them.
+    """
     x = Tensor(np.asarray(features, dtype=np.float64))
     leaves = {f"phi/{k}": Tensor(np.asarray(v, dtype=np.float64)) for k, v in phi_weights.items()}
     return _edge_conv_t(x, np.asarray(edges, dtype=np.int64), leaves, "phi", aggregation).data
@@ -267,5 +319,7 @@ def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):
             name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
             for name, leaf in leaves.items()
         }
+        # release this epoch's tape before the next forward builds another
+        del probs, loss
         store = ad.adam_step(store, grads, cfg.train.dgc_lr)
     return best_store, history

@@ -73,7 +73,6 @@ class TestGradCheck:
         store = make_store(W=rng.standard_normal((4, 3)), b=rng.standard_normal(3))
         x = rng.standard_normal((5, 4))
         s = sp.csr_matrix(np.abs(rng.standard_normal((5, 5))))
-        seg = np.array([0, 0, 1, 1, 1])
 
         def f(leaves):
             h = ad.relu(ad.add(ad.matmul(Tensor(x), leaves["W"]), leaves["b"]))
@@ -81,7 +80,7 @@ class TestGradCheck:
             e = ad.exp(ad.mul(h, 0.2))
             q = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
             picked = ad.take_pairs(q, np.array([0, 2]), np.array([1, 0]))
-            pooled = ad.segment_sum(ad.power(h, 2.0), seg, 2)
+            pooled = ad.reduce_sum(ad.reshape(ad.power(h, 2.0), (5, 3, 1)), axis=1)
             top = ad.reduce_max(ad.sqrt(ad.add(pooled, 1.0)), axis=0)
             return ad.add(ad.reduce_sum(ad.log(ad.clamp_min(picked, 1e-9))), ad.reduce_mean(top))
 
@@ -119,16 +118,6 @@ class TestPrimitives:
         ad.backward(ad.reduce_sum(out))
         assert np.array_equal(x.grad, np.array([[1.0, 0.0, 0.0]]))
 
-    def test_segment_max_routes_gradient(self):
-        x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [0.0, 7.0]]))
-        out = ad.segment_max(x, np.array([0, 0, 1]), 2)
-        ad.backward(ad.reduce_sum(out))
-        assert np.array_equal(x.grad, np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
-
-    def test_segment_max_requires_sorted(self):
-        with pytest.raises(ValueError, match="sorted"):
-            ad.segment_max(Tensor(np.zeros((3, 2))), np.array([1, 0, 1]), 2)
-
     def test_power_zero_exponent(self):
         x = Tensor(np.array([0.0, 2.0]))
         out = ad.power(x, 0.0)
@@ -148,6 +137,15 @@ class TestPrimitives:
         ad.backward(ad.reduce_sum(ad.add(a, b)))
         assert b.grad.shape == (3,)
         assert np.array_equal(b.grad, np.full(3, 4.0))
+
+    def test_backward_keeps_only_leaf_grads(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        y = ad.mul(x, 3.0)
+        z = ad.tanh(y)
+        loss = ad.reduce_sum(z)
+        ad.backward(loss)
+        assert np.allclose(x.grad, 3.0 * (1.0 - np.tanh(3.0 * x.data) ** 2))
+        assert y.grad is None and z.grad is None and loss.grad is None
 
     def test_tape_is_topologically_ordered(self):
         x = Tensor(np.ones(2))

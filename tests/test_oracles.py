@@ -1,0 +1,114 @@
+"""Vectorised production paths against the reference versions in tests/oracles.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccgl import autodiff as ad
+from ccgl.autodiff import ParamStore, Tensor
+from ccgl.metrics import auc, knn_baseline
+from ccgl.population import _edge_conv_t, knn_edges
+from tests import oracles
+
+
+class TestPrimitives:
+    def test_segment_max_routes_gradient(self):
+        x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [0.0, 7.0]]))
+        out = oracles.segment_max(x, np.array([0, 0, 1]), 2)
+        ad.backward(ad.reduce_sum(out))
+        assert np.array_equal(x.grad, np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
+
+    def test_segment_max_requires_sorted(self):
+        with pytest.raises(ValueError, match="sorted"):
+            oracles.segment_max(Tensor(np.zeros((3, 2))), np.array([1, 0, 1]), 2)
+
+    def test_segment_sum_grad_check(self):
+        rng = np.random.default_rng(1)
+        store = ParamStore()
+        store.add("W", rng.standard_normal((4, 3)))
+        x = rng.standard_normal((5, 4))
+        seg = np.array([0, 0, 1, 1, 1])
+
+        def f(leaves):
+            h = ad.tanh(ad.matmul(Tensor(x), leaves["W"]))
+            pooled = oracles.segment_sum(ad.power(h, 2.0), seg, 2)
+            return ad.reduce_mean(ad.reduce_max(ad.sqrt(ad.add(pooled, 1.0)), axis=0))
+
+        assert ad.grad_check(f, store, eps=1e-5, samples=12, seed=2) < 1e-6
+
+
+@st.composite
+def point_sets(draw, max_p=40):
+    """(features, k): P in [2, max_p], k in [1, P-1], with duplicate rows and grid ties."""
+    p = draw(st.integers(2, max_p))
+    k = draw(st.integers(1, p - 1))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((p, d))
+    if draw(st.booleans()):  # a coarse grid makes equal distances between distinct points
+        x = np.round(x)
+    n_dup = draw(st.integers(0, p - 1))
+    x[rng.integers(0, p, n_dup)] = x[rng.integers(0, p, n_dup)]
+    return x, k
+
+
+class TestKnnOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(case=point_sets())
+    def test_knn_edges_matches_per_row_argsort(self, case):
+        x, k = case
+        assert np.array_equal(knn_edges(x, k), oracles.knn_edges(x, k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(train=point_sets(), n_test=st.integers(1, 12), seed=st.integers(0, 999))
+    def test_knn_baseline_matches_per_row_argsort(self, train, n_test, seed):
+        x_train, _ = train
+        rng = np.random.default_rng(seed)
+        # test rows copied from training rows sit at distance ties with every duplicate
+        x_test = x_train[rng.integers(0, x_train.shape[0], n_test)]
+        y_train = rng.integers(0, 2, x_train.shape[0])
+        k = int(rng.integers(1, x_train.shape[0] + 1))
+        scores, predictions = knn_baseline(x_train, y_train, x_test, k)
+        expected = oracles.knn_baseline_scores(x_train, y_train, x_test, k)
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(predictions, (expected >= 0.5).astype(np.int64))
+
+
+class TestEdgeConvOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=point_sets(), hidden=st.integers(1, 6), aggregation=st.sampled_from(["sum", "max"]), seed=st.integers(0, 999))
+    def test_node_level_matches_per_edge(self, case, hidden, aggregation, seed):
+        x0, k = case
+        p, d = x0.shape
+        rng = np.random.default_rng(seed)
+        params = {
+            "l/w1": rng.standard_normal((2 * d, hidden)),
+            "l/b1": rng.standard_normal(hidden),
+            "l/w2": rng.standard_normal((hidden, 3)),
+            "l/b2": rng.standard_normal(3),
+        }
+        loss_weights = rng.standard_normal((p, 3))
+        edges = knn_edges(x0, k)
+        results = []
+        for conv in (_edge_conv_t, oracles.edge_conv_t):
+            x = Tensor(x0.copy())
+            leaves = {name: Tensor(value.copy()) for name, value in params.items()}
+            out = conv(x, edges, leaves, "l", aggregation)
+            ad.backward(ad.reduce_sum(ad.mul(out, loss_weights)))
+            results.append((out.data, x.grad, [leaves[name].grad for name in params]))
+        (out, x_grad, grads), (ref_out, ref_x_grad, ref_grads) = results
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(x_grad, ref_x_grad, rtol=0, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 60), levels=st.integers(1, 6), seed=st.integers(0, 999))
+def test_auc_matches_midrank_loop(n, levels, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, n) / levels  # few distinct values: long tie runs
+    labels = rng.integers(0, 2, n)
+    labels[:2] = (0, 1)
+    assert auc(scores, labels) == oracles.auc(scores, labels)

@@ -9,6 +9,7 @@ from ccgl.config import DgcSettings, RunConfig, TrainSettings
 from ccgl.population import (
     PopulationGraph,
     _dgc_forward_t,
+    _edge_conv_t,
     _focal_batch_t,
     dgc_forward,
     edge_conv,
@@ -143,6 +144,31 @@ class TestEdgeConv:
         x = np.zeros((3, 2))
         with pytest.raises(ValueError, match="isolated node"):
             edge_conv(x, np.array([[0, 1], [1, 0]]), projection_phi(2))
+
+    def test_uneven_out_degree_rejected(self):
+        edges = np.array([[0, 1], [0, 2], [1, 0], [2, 0]])
+        with pytest.raises(ValueError, match="not k-regular: node 1"):
+            edge_conv(np.zeros((3, 2)), edges, projection_phi(2))
+
+    def test_unsorted_sources_rejected(self):
+        edges = np.array([[1, 0], [0, 1], [2, 0]])
+        with pytest.raises(ValueError, match="not sorted by source: node 1"):
+            edge_conv(np.zeros((3, 2)), edges, projection_phi(2))
+
+    def test_out_of_range_endpoint_rejected(self):
+        # a negative index would otherwise wrap around silently
+        edges = np.array([[0, 1], [1, -1], [2, 0]])
+        with pytest.raises(ValueError, match="endpoints must lie in"):
+            edge_conv(np.zeros((3, 2)), edges, projection_phi(2))
+
+    def test_max_tie_routes_gradient_to_first_neighbour(self):
+        # nodes 1 and 2 coincide, so node 0 receives two identical messages
+        x = ad.Tensor(np.array([[0.0], [1.0], [1.0]]))
+        leaves = {f"phi/{k}": ad.Tensor(v) for k, v in projection_phi(1).items()}
+        out = _edge_conv_t(x, knn_edges(x.data, 2), leaves, "phi", "max")
+        assert out.data[0, 0] == 1.0
+        ad.backward(ad.reduce_sum(ad.gather_rows(out, np.array([0]))))
+        assert np.array_equal(x.grad, np.array([[-1.0], [1.0], [0.0]]))
 
 
 class TestFocalLoss:
