@@ -81,8 +81,13 @@ def backward(loss: Tensor) -> None:
             if piece is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += piece
+                # an owned copy: a piece may alias node.grad or be a broadcast view
+                grad = np.array(piece, dtype=np.float64)
+                if grad.shape != parent.data.shape:
+                    grad = np.array(np.broadcast_to(grad, parent.data.shape))
+                parent.grad = grad
+            else:
+                parent.grad += piece
         # the nodes that consume this one sit later on the tape and have run,
         # so its gradient was complete and now lives on in its parents; leaves
         # never reach this line and keep theirs

@@ -10,7 +10,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .encoder import AttractionMatrix
-from .population import k_nearest, knn_edges
+from .population import k_nearest, knn_edges, require_finite_rows
 
 HIST_BINS = 50
 
@@ -239,6 +239,8 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
         raise ValueError("empty training set")
     if not (1 <= k <= x_train.shape[0]):
         raise ValueError(f"k must be in [1, {x_train.shape[0]}], got {k}")
+    require_finite_rows(x_train, "training patient")
+    require_finite_rows(x_test, "test patient")
     sq_train = (x_train * x_train).sum(axis=1)
     sq_test = (x_test * x_test).sum(axis=1)
     dist = sq_test[:, None] + sq_train[None, :] - 2.0 * (x_test @ x_train.T)

@@ -8,7 +8,9 @@ whole chain is reproducible from the archived effective config.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -100,21 +102,50 @@ def _write_history_csv(history, path: Path, columns) -> None:
             writer.writerow([row[c] if isinstance(row[c], int) else repr(float(row[c])) for c in columns])
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def stage_train_cgl(cfg: RunConfig, seed: int):
+    """Train the encoder, then embed the cohort once for every later stage.
+
+    ``embeddings.npz`` holds the (N, V, d) view embeddings and the sha256 of
+    the ``cgl_params.json`` they came from; it is renamed into place only
+    once complete.
+    """
     out = seed_dir(cfg, seed)
     cohort = load_snapshot(out)
     params, history = train_cgl(cohort, cfg, seed)
     save_checkpoint(params, out / "cgl_params.json")
     _write_history_csv(history, out / "cgl_history.csv", ["epoch", "loss", "mean_homo", "mean_heter"])
+    embeddings = np.asarray(embed_cohort(cohort, params, cfg), dtype=np.float64)
+    partial = out / "embeddings.npz.partial"
+    with open(partial, "wb") as fh:
+        np.savez(fh, embeddings=embeddings, cgl_params_sha256=_sha256(out / "cgl_params.json"))
+    os.replace(partial, out / "embeddings.npz")
     return params, history
+
+
+def _load_embeddings(out: Path, cohort: Cohort) -> np.ndarray:
+    """The (N, V, d) embeddings train-cgl wrote, refused unless they match its checkpoint and the cohort."""
+    digest = _sha256(_require(out / "cgl_params.json", "CGL checkpoint"))
+    path = _require(out / "embeddings.npz", "cohort embeddings")
+    with np.load(path) as archive:
+        embeddings, recorded = archive["embeddings"], str(archive["cgl_params_sha256"])
+    if recorded != digest:
+        raise ValueError(f"{path} was not made from the current cgl_params.json; re-run train-cgl")
+    if embeddings.shape[0] != len(cohort.patients):
+        raise ValueError(
+            f"{path} holds {embeddings.shape[0]} patients but the cohort snapshot has "
+            f"{len(cohort.patients)}; re-run train-cgl"
+        )
+    return embeddings
 
 
 def stage_train_dgc(cfg: RunConfig, seed: int):
     out = seed_dir(cfg, seed)
     cohort = load_snapshot(out)
-    encoder_params = load_checkpoint(_require(out / "cgl_params.json", "CGL checkpoint"))
-    embeddings = embed_cohort(cohort, encoder_params, cfg)
-    pop = population_from_embeddings(cohort, embeddings)
+    pop = population_from_embeddings(cohort, _load_embeddings(out, cohort))
     params, history = train_dgc(pop, cfg, seed)
     save_checkpoint(params, out / "dgc_params.json")
     _write_history_csv(history, out / "dgc_history.csv", ["epoch", "loss", "val_metric"])
@@ -136,10 +167,9 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
     """Score the trained pipeline on the test split and archive all reports."""
     out = seed_dir(cfg, seed)
     cohort = load_snapshot(out)
-    encoder_params = load_checkpoint(_require(out / "cgl_params.json", "CGL checkpoint"))
+    embeddings = _load_embeddings(out, cohort)
     dgc_params = load_checkpoint(_require(out / "dgc_params.json", "DGC checkpoint"))
 
-    embeddings = embed_cohort(cohort, encoder_params, cfg)
     pop = population_from_embeddings(cohort, embeddings)
     probs = dgc_forward(pop, dgc_params, settings=cfg.dgc)
     predicted = probs.argmax(axis=1)
@@ -183,9 +213,7 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
 def stage_export(cfg: RunConfig, seed: int):
     out = seed_dir(cfg, seed)
     cohort = load_snapshot(out)
-    encoder_params = load_checkpoint(_require(out / "cgl_params.json", "CGL checkpoint"))
-    embeddings = embed_cohort(cohort, encoder_params, cfg)
-    pop = population_from_embeddings(cohort, embeddings)
+    pop = population_from_embeddings(cohort, _load_embeddings(out, cohort))
     paths = []
     for fmt in ("dot", "graphml"):
         paths.append(

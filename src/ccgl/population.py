@@ -113,6 +113,13 @@ def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
+def require_finite_rows(x: np.ndarray, what: str) -> None:
+    """Raise naming the first row of ``x`` that holds a NaN or inf."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{what} {int(bad[0])} has non-finite features")
+
+
 def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     """Directed edges i -> j to each node's k nearest neighbours (Euclidean).
 
@@ -123,6 +130,7 @@ def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     p = x.shape[0]
     if not (1 <= k <= p - 1):
         raise ValueError(f"k must be in [1, {p - 1}], got {k}")
+    require_finite_rows(x, "node")
     sq = (x * x).sum(axis=1)
     dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.fill_diagonal(dist, np.inf)

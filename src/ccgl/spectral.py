@@ -112,24 +112,26 @@ def _adjacency_from_edges(graph: ViewGraph) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(r, r))
 
 
-def _laplacian_from_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+def _laplacian_from_adjacency(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
+    """Dense I - D^(-1/2) A D^(-1/2); ``dense`` holds the same values as ``adjacency``.
+
+    Degrees are summed over the stored csr entries, in stored order, so they
+    match the csr build bit for bit.
+    """
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    d_half = sp.diags(inv_sqrt)
-    sym = d_half @ adjacency @ d_half
+    sym = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
     sym = (sym + sym.T) * 0.5
-    lap = sp.identity(adjacency.shape[0], format="csr") - sym
-    return lap.tocsr()
+    return np.eye(dense.shape[0]) - sym
 
 
-def _scale(lap: sp.csr_matrix, tol: float, seed: int):
-    lam, residual = _power_iteration(lap, tol, POWER_MAX_ITER, seed)
+def _scale(lap: np.ndarray, lap_csr: sp.csr_matrix, tol: float, seed: int):
+    lam, residual = _power_iteration(lap_csr, tol, POWER_MAX_ITER, seed)
     lam = min(2.0, max(lam, 1.0))
     # pad by the residual so the rescaled spectrum cannot poke above 1
     lam_scale = min(2.0, lam + 10.0 * residual)
-    scaled = (2.0 / lam_scale) * lap - sp.identity(lap.shape[0], format="csr")
-    return lam, scaled.tocsr()
+    return lam, (2.0 / lam_scale) * lap - np.eye(lap.shape[0])
 
 
 def normalized_laplacian(
@@ -145,7 +147,7 @@ def normalized_laplacian(
     degenerate graphs); "fixed2" uses the universal bound 2.
     """
     adjacency = _adjacency_from_edges(graph)
-    return _scaled_from_adjacency(adjacency, tol, seed, lambda_mode)
+    return _scaled_from_adjacency(adjacency, adjacency.toarray(), tol, seed, lambda_mode)
 
 
 def induced_laplacian(
@@ -161,19 +163,22 @@ def induced_laplacian(
     hit = lap._induced_cache.get(key)
     if hit is not None:
         return hit
-    sub = lap.adjacency[kept][:, kept].tocsr()
-    out = _scaled_from_adjacency(sub, tol, seed, lambda_mode)
+    sub = lap.adjacency.toarray()[np.ix_(kept, kept)]
+    out = _scaled_from_adjacency(sp.csr_matrix(sub), sub, tol, seed, lambda_mode)
     lap._induced_cache[key] = out
     return out
 
 
-def _scaled_from_adjacency(adjacency: sp.csr_matrix, tol: float, seed: int, lambda_mode: str) -> ScaledLaplacian:
-    lap = _laplacian_from_adjacency(adjacency)
+def _scaled_from_adjacency(
+    adjacency: sp.csr_matrix, dense: np.ndarray, tol: float, seed: int, lambda_mode: str
+) -> ScaledLaplacian:
+    """Laplacian arithmetic runs on the dense copy of the adjacency; every stored field is csr."""
+    lap = _laplacian_from_adjacency(adjacency, dense)
+    lap_csr = sp.csr_matrix(lap)
     if lambda_mode == "fixed2":
-        lam = 2.0
-        scaled = lap - sp.identity(lap.shape[0], format="csr")
+        lam, scaled = 2.0, lap - np.eye(lap.shape[0])
     elif lambda_mode == "power":
-        lam, scaled = _scale(lap, tol, seed)
+        lam, scaled = _scale(lap, lap_csr, tol, seed)
     else:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    return ScaledLaplacian(laplacian=lap, lambda_max=lam, scaled=scaled.tocsr(), adjacency=adjacency)
+    return ScaledLaplacian(laplacian=lap_csr, lambda_max=lam, scaled=sp.csr_matrix(scaled), adjacency=adjacency)

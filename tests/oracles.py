@@ -10,8 +10,10 @@ that is easy to read.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ccgl import autodiff as ad
+from ccgl import spectral
 from ccgl.autodiff import Tensor
 
 
@@ -153,3 +155,23 @@ def auc(scores, labels) -> float:
         i = j + 1
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+# ---------------------------------------------------------------------------
+# Laplacian build with scipy-sparse operators
+# ---------------------------------------------------------------------------
+
+def scipy_scaled_laplacian(adjacency: sp.csr_matrix, tol: float = 1e-9, seed: int = 0):
+    """(laplacian, lambda_max, scaled) built by chained scipy-sparse operators."""
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
+    d_half = sp.diags(inv_sqrt)
+    sym = d_half @ adjacency @ d_half
+    sym = (sym + sym.T) * 0.5
+    lap = (sp.identity(adjacency.shape[0], format="csr") - sym).tocsr()
+    lam, residual = spectral._power_iteration(lap, tol, spectral.POWER_MAX_ITER, seed)
+    lam = min(2.0, max(lam, 1.0))
+    lam_scale = min(2.0, lam + 10.0 * residual)
+    scaled = (2.0 / lam_scale) * lap - sp.identity(lap.shape[0], format="csr")
+    return lap, lam, scaled.tocsr()

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from ccgl import encoder, pipeline
+from ccgl.autodiff import load_checkpoint, save_checkpoint
 from ccgl.cli import main
 from ccgl.config import ConfigError, RunConfig, config_from_dict, default_config, load_config, save_config
 from ccgl.pipeline import load_snapshot, run_pipeline, stage_data, stage_evaluate, stage_export, stage_train_cgl, stage_train_dgc
@@ -87,6 +89,7 @@ class TestStages:
             "effective_config.json",
             "cgl_params.json",
             "cgl_history.csv",
+            "embeddings.npz",
             "dgc_params.json",
             "dgc_history.csv",
             "predictions.csv",
@@ -176,6 +179,67 @@ class TestStages:
         assert aggregated["n_runs"] == 1
         assert 0.0 <= aggregated["runs"][0]["auc"] <= 1.0
         assert (tmp_path / "run" / "seed_0" / "population.graphml").exists()
+
+
+@pytest.fixture()
+def trained_run(tmp_path):
+    """A tiny run through train-dgc: (config, seed directory)."""
+    cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+    stage_data(cfg, 0)
+    stage_train_cgl(cfg, 0)
+    stage_train_dgc(cfg, 0)
+    return cfg, tmp_path / "run" / "seed_0"
+
+
+LATER_STAGES = (stage_train_dgc, stage_evaluate, stage_export)
+
+
+class TestEmbeddingsArtifact:
+    def test_equals_a_fresh_embedding_of_the_checkpoint(self, trained_run):
+        cfg, run_dir = trained_run
+        fresh = encoder.embed_cohort(load_snapshot(run_dir), load_checkpoint(run_dir / "cgl_params.json"), cfg)
+        with np.load(run_dir / "embeddings.npz") as archive:
+            stored = archive["embeddings"]
+        assert stored.dtype == np.float64 and stored.shape == (10, cfg.n_views, 6)
+        assert np.array_equal(stored, np.asarray(fresh, dtype=np.float64))
+
+    def test_later_stages_refuse_embeddings_of_another_checkpoint(self, trained_run):
+        cfg, run_dir = trained_run
+        params = load_checkpoint(run_dir / "cgl_params.json")
+        params.values["readout"] = params.values["readout"] * 0.5
+        save_checkpoint(params, run_dir / "cgl_params.json")
+        for stage in LATER_STAGES:
+            with pytest.raises(ValueError, match="embeddings.npz.*re-run train-cgl"):
+                stage(cfg, 0)
+
+    def test_later_stages_refuse_a_patient_count_mismatch(self, trained_run):
+        cfg, run_dir = trained_run
+        with np.load(run_dir / "embeddings.npz") as archive:
+            arrays = dict(archive)
+        with open(run_dir / "embeddings.npz", "wb") as fh:
+            np.savez(fh, embeddings=arrays["embeddings"][:-1], cgl_params_sha256=arrays["cgl_params_sha256"])
+        for stage in LATER_STAGES:
+            with pytest.raises(ValueError, match="embeddings.npz holds 9 patients.*re-run train-cgl"):
+                stage(cfg, 0)
+
+    def test_missing_embeddings_names_the_file(self, trained_run):
+        cfg, run_dir = trained_run
+        (run_dir / "embeddings.npz").unlink()
+        for stage in LATER_STAGES:
+            with pytest.raises(FileNotFoundError, match="embeddings.npz"):
+                stage(cfg, 0)
+
+    def test_later_stages_do_not_reembed(self, trained_run, monkeypatch):
+        cfg, run_dir = trained_run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cohort was embedded again")
+
+        monkeypatch.setattr(encoder, "embed_cohort", refuse)
+        monkeypatch.setattr(pipeline, "embed_cohort", refuse)
+        for stage in LATER_STAGES:
+            stage(cfg, 0)
+        assert (run_dir / "population.graphml").exists()
 
 
 class TestCli:

@@ -255,6 +255,19 @@ class TestKnnBaseline:
         scores, preds = knn_baseline(train, np.array([0, 1]), np.array([[0.5]]), k=2)
         assert scores[0] == 0.5 and preds[0] == 1
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_all_nan_training_row_names_the_patient(self, k):
+        train = np.random.default_rng(5).standard_normal((6, 3))
+        train[3] = np.nan
+        with pytest.raises(ValueError, match="training patient 3 has non-finite features"):
+            knn_baseline(train, np.array([0, 1, 0, 1, 0, 1]), np.zeros((2, 3)), k=k)
+
+    def test_single_inf_test_entry_names_the_patient(self):
+        test = np.zeros((3, 2))
+        test[1, 0] = -np.inf
+        with pytest.raises(ValueError, match="test patient 1 has non-finite features"):
+            knn_baseline(np.eye(2), np.array([0, 1]), test, k=1)
+
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty training"):
             knn_baseline(np.zeros((0, 2)), np.array([]), np.zeros((1, 2)), k=1)

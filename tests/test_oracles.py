@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
 from ccgl.autodiff import ParamStore, Tensor
+from ccgl.cohort import RoiTimeSeries
+from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph
 from ccgl.metrics import auc, knn_baseline
 from ccgl.population import _edge_conv_t, knn_edges
+from ccgl.spectral import induced_laplacian, normalized_laplacian
 from tests import oracles
 
 
@@ -73,6 +77,59 @@ class TestKnnOracle:
         expected = oracles.knn_baseline_scores(x_train, y_train, x_test, k)
         assert np.array_equal(scores, expected)
         assert np.array_equal(predictions, (expected >= 0.5).astype(np.int64))
+
+
+def assert_same_csr(a, b):
+    assert a.format == b.format == "csr"
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+def assert_matches_scipy_build(lap):
+    laplacian, lam, scaled = oracles.scipy_scaled_laplacian(lap.adjacency)
+    assert_same_csr(lap.laplacian, laplacian)
+    assert_same_csr(lap.scaled, scaled)
+    assert lap.lambda_max == lam
+
+
+LAPLACIAN_GRAPHS = {
+    "empty": ViewGraph(node_features=np.zeros((4, 11)), edges=(), roi_count=4),
+    "isolated_node": ViewGraph(node_features=np.zeros((3, 10)), edges=((0, 1, -0.5),), roi_count=3),
+    "two_isolated_nodes": ViewGraph(
+        node_features=np.zeros((5, 12)), edges=((0, 3, 0.2), (3, 4, -0.7)), roi_count=5
+    ),
+}
+for _rois, _top, _seed in ((8, 3, 0), (16, 10, 1), (16, 2, 2), (130, 3, 3)):
+    LAPLACIAN_GRAPHS[f"fc_r{_rois}_top{_top}"] = build_fc_graph(
+        RoiTimeSeries(np.random.default_rng(_seed).standard_normal((200, _rois))),
+        np.zeros(7),
+        EdgePolicy(per_node_top=_top),
+    )
+
+
+class TestLaplacianOracle:
+    """Dense-array arithmetic stores the same csr matrices, bit for bit, as scipy operators."""
+
+    @pytest.mark.parametrize("name", sorted(LAPLACIAN_GRAPHS))
+    def test_build_matches_scipy_operators(self, name):
+        assert_matches_scipy_build(normalized_laplacian(LAPLACIAN_GRAPHS[name]))
+
+    @pytest.mark.parametrize("name", sorted(LAPLACIAN_GRAPHS))
+    def test_induced_matches_scipy_operators(self, name):
+        lap = normalized_laplacian(LAPLACIAN_GRAPHS[name])
+        rng = np.random.default_rng(len(name))
+        for size in (1, (lap.n_nodes + 1) // 2, lap.n_nodes):
+            kept = np.sort(rng.choice(lap.n_nodes, size=size, replace=False))
+            sub = induced_laplacian(lap, kept)
+            assert_same_csr(sub.adjacency, lap.adjacency[kept][:, kept].tocsr())
+            assert_matches_scipy_build(sub)
+
+    def test_fixed2_scaled_is_laplacian_minus_identity(self):
+        lap = normalized_laplacian(LAPLACIAN_GRAPHS["fc_r16_top10"], lambda_mode="fixed2")
+        reference, _, _ = oracles.scipy_scaled_laplacian(lap.adjacency)
+        assert_same_csr(lap.laplacian, reference)
+        assert_same_csr(lap.scaled, (reference - sp.identity(16, format="csr")).tocsr())
 
 
 class TestEdgeConvOracle:

@@ -80,6 +80,20 @@ class TestKnnEdges:
         with pytest.raises(ValueError, match="k must be"):
             knn_edges(pts, 3)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_all_nan_row_names_the_node(self, k):
+        # at k = 1 this row used to get a self-edge: its inf diagonal sorted before the NaNs
+        pts = np.random.default_rng(3).standard_normal((6, 3))
+        pts[2] = np.nan
+        with pytest.raises(ValueError, match="node 2 has non-finite features"):
+            knn_edges(pts, k)
+
+    def test_single_inf_entry_names_the_node(self):
+        pts = np.random.default_rng(4).standard_normal((6, 3))
+        pts[4, 1] = np.inf
+        with pytest.raises(ValueError, match="node 4 has non-finite features"):
+            knn_edges(pts, 2)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 999), p=st.integers(4, 20), k=st.integers(1, 3))
     def test_out_degree_exactly_k(self, seed, p, k):
