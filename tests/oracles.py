@@ -175,3 +175,37 @@ def scipy_scaled_laplacian(adjacency: sp.csr_matrix, tol: float = 1e-9, seed: in
     lam_scale = min(2.0, lam + 10.0 * residual)
     scaled = (2.0 / lam_scale) * lap - sp.identity(lap.shape[0], format="csr")
     return lap, lam, scaled.tocsr()
+
+
+# ---------------------------------------------------------------------------
+# view-graph edges as (i, j, w) tuples
+# ---------------------------------------------------------------------------
+
+def fc_edges(partial: np.ndarray, per_node_top: int) -> tuple:
+    """Union of each node's per_node_top strongest partners, as sorted (i, j, w) tuples, i < j.
+
+    Strength is |partial|; ties within a row go to the lower index.
+    """
+    r = partial.shape[0]
+    e = min(per_node_top, r - 1)
+    strength = np.abs(partial).copy()
+    np.fill_diagonal(strength, -np.inf)
+    pairs = set()
+    for i in range(r):
+        order = np.argsort(-strength[i], kind="stable")
+        for j in order[:e]:
+            pairs.add((min(i, int(j)), max(i, int(j))))
+    return tuple((i, j, float(partial[i, j])) for i, j in sorted(pairs))
+
+
+def adjacency_from_edges(graph) -> sp.csr_matrix:
+    """csr |w| adjacency of an object with ``edges`` ((i, j, w) tuples) and ``roi_count``."""
+    r = graph.roi_count
+    if graph.edges:
+        rows = np.array([e[0] for e in graph.edges] + [e[1] for e in graph.edges])
+        cols = np.array([e[1] for e in graph.edges] + [e[0] for e in graph.edges])
+        vals = np.abs(np.array([e[2] for e in graph.edges] * 2))
+    else:
+        rows = cols = np.array([], dtype=np.int64)
+        vals = np.array([], dtype=np.float64)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(r, r))
