@@ -10,6 +10,7 @@ finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,6 +378,12 @@ class ParamStore:
 
     def n_coordinates(self) -> int:
         return sum(v.size for v in self.values.values())
+
+
+def glorot(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform Glorot draw for a (fan_in, fan_out) weight."""
+    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def make_leaves(params: ParamStore) -> dict:

@@ -153,7 +153,9 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
 
     if "roi_count" not in manifest or "patients" not in manifest:
         raise ValueError(f"manifest {manifest_path}: needs 'roi_count' and 'patients' keys")
-    roi_count = int(manifest["roi_count"])
+    roi_count = manifest["roi_count"]
+    if not _is_json_int(roi_count) or roi_count < 2:
+        raise ValueError(f"manifest {manifest_path}: field 'roi_count' must be an integer >= 2, got {roi_count!r}")
     entries = manifest["patients"]
     if not entries:
         raise ValueError("empty cohort")
@@ -170,6 +172,9 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
         missing = [key for key in ("csv", "pcd", "label", "site") if key not in entry]
         if missing:
             raise ValueError(f"patient {pid!r} (entry {pos}): missing field {missing[0]!r}")
+        label = entry["label"]
+        if not _is_json_int(label) or label not in (0, 1):
+            raise ValueError(f"patient {pid!r} (entry {pos}): field 'label' must be the integer 0 or 1, got {label!r}")
         pcd = entry["pcd"]
         if len(pcd) != PCD_SIZE:
             raise ValueError(f"patient {pid!r} (entry {pos}): pcd has length {len(pcd)}, expected {PCD_SIZE}")
@@ -187,11 +192,15 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
                 id=str(pid),
                 series=RoiTimeSeries(values),
                 pcd=np.asarray(pcd, dtype=np.float64),
-                label=int(entry["label"]),
+                label=label,
                 site=str(entry["site"]),
             )
         )
     return Cohort(patients=tuple(patients), roi_count=roi_count)
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_series_csv(csv_path: Path, pid: str, roi_count: int) -> np.ndarray:

@@ -56,30 +56,44 @@ class EdgePolicy:
 
 @dataclass(frozen=True)
 class ViewGraph:
-    """One view's graph: R x F node features plus weighted undirected edges (i < j)."""
+    """One view's graph: R x F node features plus a symmetric R x R signed weight matrix.
+
+    A zero weight means no edge; the diagonal is zero.
+    """
 
     node_features: np.ndarray
-    edges: tuple
-    roi_count: int
+    weights: np.ndarray
 
     def __post_init__(self):
         feats = np.asarray(self.node_features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != self.roi_count:
-            raise ValueError(f"node features must be ({self.roi_count}, F), got {feats.shape}")
-        edges = tuple((int(i), int(j), float(w)) for i, j, w in self.edges)
-        for i, j, w in edges:
-            if i == j:
-                raise ValueError(f"self-edge at node {i}")
-            if not (0 <= i < j < self.roi_count):
-                raise ValueError(f"edge ({i}, {j}) out of range for {self.roi_count} nodes")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({i}, {j}) has non-finite weight")
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"weights must be square, got {w.shape}")
+        if feats.ndim != 2 or feats.shape[0] != w.shape[0]:
+            raise ValueError(f"node features must be ({w.shape[0]}, F), got {feats.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights contain non-finite entries")
+        self_edges = np.flatnonzero(np.diag(w))
+        if self_edges.size:
+            raise ValueError(f"self-edge at node {self_edges[0]}")
+        if not np.array_equal(w, w.T):
+            raise ValueError("weights must be symmetric")
         object.__setattr__(self, "node_features", feats)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def roi_count(self) -> int:
+        return self.weights.shape[0]
 
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
+
+    @property
+    def edges(self) -> tuple:
+        """(i, j, w) for every edge with i < j, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.weights, k=1))
+        return tuple((int(i), int(j), float(self.weights[i, j])) for i, j in zip(rows, cols))
 
 
 def pearson_matrix(view: RoiTimeSeries) -> CorrelationMatrix:
@@ -143,14 +157,11 @@ def build_fc_graph(view: RoiTimeSeries, pcd: np.ndarray, policy: EdgePolicy = Ed
     r = view.n_rois
     e = min(policy.per_node_top, r - 1)
 
-    strength = np.abs(partial).copy()
+    strength = np.abs(partial)
     np.fill_diagonal(strength, -np.inf)
-    pairs = set()
-    for i in range(r):
-        order = np.argsort(-strength[i], kind="stable")
-        for j in order[:e]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-
-    edges = tuple((i, j, float(partial[i, j])) for i, j in sorted(pairs))
+    partners = np.argsort(-strength, axis=1, kind="stable")[:, :e]
+    mask = np.zeros((r, r), dtype=bool)
+    np.put_along_axis(mask, partners, True, axis=1)
+    weights = np.where(mask | mask.T, partial, 0.0)
     features = np.hstack([pearson, np.tile(pcd, (r, 1))])
-    return ViewGraph(node_features=features, edges=edges, roi_count=r)
+    return ViewGraph(node_features=features, weights=weights)

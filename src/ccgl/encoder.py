@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore, Tensor, glorot
 from .cohort import Cohort, slice_views, standardized_pcd
 from .config import EncoderSettings, RunConfig
 from .connectivity import ViewGraph, build_fc_graph
@@ -83,17 +83,12 @@ def init_encoder_params(in_dim: int, settings: EncoderSettings, seed: int) -> Pa
     """Glorot-initialised filter weights, pooling scores, and readout projection."""
     rng = np.random.default_rng([seed, 0])
     store = ParamStore()
-
-    def glorot(shape):
-        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, size=shape)
-
     widths = [(in_dim, settings.hidden1), (settings.hidden1, settings.hidden2)]
     for block, (f_in, f_out) in enumerate(widths, start=1):
         for k in range(1, settings.cheb_k + 1):
-            store.add(f"block{block}/cheb{k}", glorot((f_in, f_out)))
-        store.add(f"block{block}/pool", glorot((f_out, 1)))
-    store.add("readout", glorot((2 * settings.hidden2, settings.embed_dim)))
+            store.add(f"block{block}/cheb{k}", glorot(rng, (f_in, f_out)))
+        store.add(f"block{block}/pool", glorot(rng, (f_out, 1)))
+    store.add("readout", glorot(rng, (2 * settings.hidden2, settings.embed_dim)))
     return store
 
 
@@ -206,36 +201,23 @@ def similarity_matrix(embeddings: np.ndarray) -> AttractionMatrix:
     return AttractionMatrix(values=m, pairing=pairing)
 
 
-def _pair_losses(values: np.ndarray, partner: np.ndarray, tau: float) -> np.ndarray:
-    """Per-row softmax loss of each row against its partner, self excluded."""
-    z = values / tau
-    two_n = z.shape[0]
-    mask = ~np.eye(two_n, dtype=bool)
-    shift = np.where(mask, z, -np.inf).max(axis=1)
-    denom = (np.exp(z - shift[:, None]) * mask).sum(axis=1)
-    log_denom = np.log(denom) + shift
-    return log_denom - z[np.arange(two_n), partner]
-
-
 def contrastive_loss(m: AttractionMatrix, tau: float) -> float:
     """Mean softmax loss over the 2N ordered same-patient view pairs."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    return float(_pair_losses(m.values, m.partner_index(), tau).mean())
+    return float(_pair_loss_t(Tensor(m.values), m.partner_index(), tau).data)
 
 
-def contrastive_pair_loss(m: AttractionMatrix, row: int, col: int, tau: float) -> float:
-    """Softmax loss of the single ordered pair (row, col)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if row == col:
-        raise ValueError("pair loss needs two distinct views")
-    z = m.values / tau
-    mask = np.ones(z.shape[0], dtype=bool)
-    mask[row] = False
-    shift = z[row, mask].max()
-    log_denom = np.log(np.exp(z[row, mask] - shift).sum()) + shift
-    return float(log_denom - z[row, col])
+def _pair_loss_t(m: Tensor, partner: np.ndarray, tau: float) -> Tensor:
+    """Mean over rows of each row's softmax loss against its partner row, self excluded."""
+    two_n = m.data.shape[0]
+    z = ad.mul(m, 1.0 / tau)
+    mask = (~np.eye(two_n, dtype=bool)).astype(np.float64)
+    shift = np.where(mask > 0, z.data, -np.inf).max(axis=1, keepdims=True)
+    e = ad.mul(ad.exp(ad.sub(z, shift)), mask)
+    log_denom = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift.ravel())
+    num = ad.take_pairs(z, np.arange(two_n), partner)
+    return ad.reduce_mean(ad.sub(log_denom, num))
 
 
 def _contrastive_loss_t(embeddings: Tensor, tau: float):
@@ -243,17 +225,8 @@ def _contrastive_loss_t(embeddings: Tensor, tau: float):
 
     Returns the scalar loss tensor plus the similarity values for logging.
     """
-    two_n = embeddings.data.shape[0]
     m = ad.matmul(embeddings, ad.transpose(embeddings))
-    partner = np.arange(two_n) ^ 1
-    z = ad.mul(m, 1.0 / tau)
-    mask = (~np.eye(two_n, dtype=bool)).astype(np.float64)
-    shift = np.where(mask > 0, z.data, -np.inf).max(axis=1, keepdims=True)
-    e = ad.mul(ad.exp(ad.sub(z, shift)), mask)
-    log_denom = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift.ravel())
-    num = ad.take_pairs(z, np.arange(two_n), partner)
-    loss = ad.reduce_mean(ad.sub(log_denom, num))
-    return loss, m.data
+    return _pair_loss_t(m, np.arange(m.data.shape[0]) ^ 1, tau), m.data
 
 
 def prepare_views(cohort: Cohort, cfg: RunConfig) -> list:

@@ -64,7 +64,7 @@ class ConfusionReport:
         return self.tn / (self.tn + self.fp) if (self.tn + self.fp) else None
 
 
-def confusion_metrics(predictions, labels, positive_class: int = 1) -> ConfusionReport:
+def confusion_metrics(predictions, labels) -> ConfusionReport:
     """Counts and rates with the disorder class as positive.
 
     Sensitivity is recall of the positive class, specificity recall of the
@@ -74,8 +74,8 @@ def confusion_metrics(predictions, labels, positive_class: int = 1) -> Confusion
     y = np.asarray(labels)
     if preds.shape != y.shape or preds.size == 0:
         raise ValueError("predictions and labels must be equal-length and non-empty")
-    pos = y == positive_class
-    pred_pos = preds == positive_class
+    pos = y == 1
+    pred_pos = preds == 1
     return ConfusionReport(
         tp=int((pred_pos & pos).sum()),
         fp=int((pred_pos & ~pos).sum()),
@@ -190,10 +190,14 @@ def export_population_graph(
     return out_path
 
 
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _render_dot(ids, labels, splits, edges, dists) -> str:
     lines = ["digraph population {"]
     for i, (pid, label, split) in enumerate(zip(ids, labels, splits)):
-        lines.append(f'  n{i} [id="{pid}", label={label}, split="{split}"];')
+        lines.append(f"  n{i} [id={_dot_quote(pid)}, label={label}, split={_dot_quote(split)}];")
     for (src, dst), d in zip(edges, dists):
         lines.append(f"  n{src} -> n{dst} [distance={repr(float(d))}];")
     lines.append("}")

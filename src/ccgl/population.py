@@ -8,14 +8,12 @@ sit close together; only training nodes contribute to the focal loss.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore, Tensor, glorot
 from .config import DgcSettings, RunConfig
 
 PROB_FLOOR = 1e-12
@@ -214,18 +212,13 @@ def focal_loss(prob_true_class, gamma: float):
 def init_dgc_params(in_dim: int, settings: DgcSettings, seed: int) -> ParamStore:
     rng = np.random.default_rng([seed, 2])
     store = ParamStore()
-
-    def glorot(shape):
-        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, size=shape)
-
     dims = [(in_dim, settings.hidden1), (settings.hidden1, settings.hidden2)]
     for layer, (d_in, d_out) in enumerate(dims, start=1):
-        store.add(f"layer{layer}/w1", glorot((2 * d_in, d_out)))
+        store.add(f"layer{layer}/w1", glorot(rng, (2 * d_in, d_out)))
         store.add(f"layer{layer}/b1", np.zeros(d_out))
-        store.add(f"layer{layer}/w2", glorot((d_out, d_out)))
+        store.add(f"layer{layer}/w2", glorot(rng, (d_out, d_out)))
         store.add(f"layer{layer}/b2", np.zeros(d_out))
-    store.add("classifier", glorot((settings.hidden2, 2)))
+    store.add("classifier", glorot(rng, (settings.hidden2, 2)))
     return store
 
 
@@ -259,11 +252,9 @@ def _dgc_forward_t(
     return probs, edge_record
 
 
-def dgc_forward(pop: PopulationGraph, params: ParamStore, k: int | None = None, settings: DgcSettings | None = None) -> np.ndarray:
+def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings | None = None) -> np.ndarray:
     """Class probabilities for every patient node; records the edges used."""
     settings = settings or DgcSettings()
-    if k is not None:
-        settings = dataclasses.replace(settings, k=int(k))
     if pop.n_patients < 2:
         raise ValueError(f"population needs >= 2 patients, got {pop.n_patients}")
     probs, edges = _dgc_forward_t(pop.node_features, ad.make_leaves(params), settings)

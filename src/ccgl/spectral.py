@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from .connectivity import ViewGraph
 
 POWER_MAX_ITER = 10000
+POWER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def _power_iteration(mat, tol: float, max_iter: int, seed: int):
     raise RuntimeError(f"power iteration did not converge within {max_iter} iterations (tol {tol})")
 
 
-def largest_eigenvalue(lap, tol: float = 1e-6, seed: int = 0) -> float:
+def largest_eigenvalue(lap, tol: float = 1e-6) -> float:
     """Power-iteration estimate of the largest eigenvalue, clamped to (0, 2]."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -96,89 +97,54 @@ def largest_eigenvalue(lap, tol: float = 1e-6, seed: int = 0) -> float:
         mat = lap.tocsr()
     else:
         mat = np.asarray(lap, dtype=np.float64)
-    lam, _ = _power_iteration(mat, tol, POWER_MAX_ITER, seed)
+    lam, _ = _power_iteration(mat, tol, POWER_MAX_ITER, 0)
     return float(min(2.0, max(lam, 1e-12)))
 
 
-def _adjacency_from_edges(graph: ViewGraph) -> sp.csr_matrix:
-    r = graph.roi_count
-    if graph.edges:
-        rows = np.array([e[0] for e in graph.edges] + [e[1] for e in graph.edges])
-        cols = np.array([e[1] for e in graph.edges] + [e[0] for e in graph.edges])
-        vals = np.abs(np.array([e[2] for e in graph.edges] * 2))
-    else:
-        rows = cols = np.array([], dtype=np.int64)
-        vals = np.array([], dtype=np.float64)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(r, r))
-
-
-def _laplacian_from_adjacency(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
-    """Dense I - D^(-1/2) A D^(-1/2); ``dense`` holds the same values as ``adjacency``.
-
-    Degrees are summed over the stored csr entries, in stored order, so they
-    match the csr build bit for bit.
-    """
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    sym = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
-    sym = (sym + sym.T) * 0.5
-    return np.eye(dense.shape[0]) - sym
-
-
-def _scale(lap: np.ndarray, lap_csr: sp.csr_matrix, tol: float, seed: int):
-    lam, residual = _power_iteration(lap_csr, tol, POWER_MAX_ITER, seed)
-    lam = min(2.0, max(lam, 1.0))
-    # pad by the residual so the rescaled spectrum cannot poke above 1
-    lam_scale = min(2.0, lam + 10.0 * residual)
-    return lam, (2.0 / lam_scale) * lap - np.eye(lap.shape[0])
-
-
-def normalized_laplacian(
-    graph: ViewGraph,
-    tol: float = 1e-9,
-    seed: int = 0,
-    lambda_mode: str = "power",
-) -> ScaledLaplacian:
+def normalized_laplacian(graph: ViewGraph, lambda_mode: str = "power") -> ScaledLaplacian:
     """Build L = I - D^(-1/2) A D^(-1/2) from absolute edge weights and rescale it.
 
     Isolated nodes get an identity row (their D^(-1/2) entry is zero).
     ``lambda_mode`` "power" estimates the top eigenvalue (floored at 1 for
     degenerate graphs); "fixed2" uses the universal bound 2.
     """
-    adjacency = _adjacency_from_edges(graph)
-    return _scaled_from_adjacency(adjacency, adjacency.toarray(), tol, seed, lambda_mode)
+    return _build(np.abs(graph.weights), lambda_mode)
 
 
-def induced_laplacian(
-    lap: ScaledLaplacian,
-    kept,
-    tol: float = 1e-9,
-    seed: int = 0,
-    lambda_mode: str = "power",
-) -> ScaledLaplacian:
+def induced_laplacian(lap: ScaledLaplacian, kept, lambda_mode: str = "power") -> ScaledLaplacian:
     """Rebuild the Laplacian of the subgraph induced on the kept node indices."""
     kept = np.asarray(kept, dtype=np.int64)
     key = (tuple(kept.tolist()), lambda_mode)
     hit = lap._induced_cache.get(key)
     if hit is not None:
         return hit
-    sub = lap.adjacency.toarray()[np.ix_(kept, kept)]
-    out = _scaled_from_adjacency(sp.csr_matrix(sub), sub, tol, seed, lambda_mode)
+    out = _build(lap.adjacency.toarray()[np.ix_(kept, kept)], lambda_mode)
     lap._induced_cache[key] = out
     return out
 
 
-def _scaled_from_adjacency(
-    adjacency: sp.csr_matrix, dense: np.ndarray, tol: float, seed: int, lambda_mode: str
-) -> ScaledLaplacian:
-    """Laplacian arithmetic runs on the dense copy of the adjacency; every stored field is csr."""
-    lap = _laplacian_from_adjacency(adjacency, dense)
+def _build(dense: np.ndarray, lambda_mode: str) -> ScaledLaplacian:
+    """Scaled Laplacian of a dense nonnegative adjacency; every stored field is csr.
+
+    Degrees are the csr row sums, which fix the summation order the stored
+    matrices have always been built with.
+    """
+    adjacency = sp.csr_matrix(dense)
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
+    sym = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
+    identity = np.eye(dense.shape[0])
+    lap = identity - (sym + sym.T) * 0.5
     lap_csr = sp.csr_matrix(lap)
     if lambda_mode == "fixed2":
-        lam, scaled = 2.0, lap - np.eye(lap.shape[0])
+        lam, scaled = 2.0, lap - identity
     elif lambda_mode == "power":
-        lam, scaled = _scale(lap, lap_csr, tol, seed)
+        lam, residual = _power_iteration(lap_csr, POWER_TOL, POWER_MAX_ITER, 0)
+        lam = min(2.0, max(lam, 1.0))
+        # pad by the residual so the rescaled spectrum cannot poke above 1
+        lam_scale = min(2.0, lam + 10.0 * residual)
+        scaled = (2.0 / lam_scale) * lap - identity
     else:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
     return ScaledLaplacian(laplacian=lap_csr, lambda_max=lam, scaled=sp.csr_matrix(scaled), adjacency=adjacency)

@@ -209,3 +209,11 @@ def adjacency_from_edges(graph) -> sp.csr_matrix:
         rows = cols = np.array([], dtype=np.int64)
         vals = np.array([], dtype=np.float64)
     return sp.csr_matrix((vals, (rows, cols)), shape=(r, r))
+
+
+def weights_from_edges(r: int, edges) -> np.ndarray:
+    """Symmetric (r, r) weight matrix holding each (i, j, w) tuple at (i, j) and (j, i)."""
+    w = np.zeros((r, r))
+    for i, j, value in edges:
+        w[i, j] = w[j, i] = value
+    return w

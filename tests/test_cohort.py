@@ -67,6 +67,24 @@ class TestLoadCohort:
         with pytest.raises(ValueError, match="csv not found"):
             load_cohort(manifest_dir / "manifest.json")
 
+    @pytest.mark.parametrize("label", [1.9, True, "1", 1.0, 2])
+    def test_label_must_be_integer_0_or_1(self, manifest_dir, label):
+        manifest = manifest_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["patients"][1]["label"] = label
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"patient 'p1' \(entry 1\): field 'label' must be the integer 0 or 1"):
+            load_cohort(manifest)
+
+    @pytest.mark.parametrize("roi_count", [4.7, True, "16", 16.0, 1])
+    def test_roi_count_must_be_integer(self, manifest_dir, roi_count):
+        manifest = manifest_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["roi_count"] = roi_count
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"field 'roi_count' must be an integer >= 2"):
+            load_cohort(manifest)
+
     def test_missing_field_named(self, manifest_dir):
         manifest = manifest_dir / "manifest.json"
         doc = json.loads(manifest.read_text())

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ccgl.cohort import RoiTimeSeries
 from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph, partial_corr_matrix, pearson_matrix
+from tests.oracles import weights_from_edges
 
 
 def _series(rng, t=120, r=5):
@@ -176,7 +177,22 @@ class TestBuildFcGraph:
 
 
 def test_viewgraph_invariants():
-    with pytest.raises(ValueError, match="self-edge"):
-        ViewGraph(node_features=np.zeros((3, 10)), edges=((1, 1, 0.5),), roi_count=3)
-    with pytest.raises(ValueError, match="out of range"):
-        ViewGraph(node_features=np.zeros((3, 10)), edges=((0, 3, 0.5),), roi_count=3)
+    feats = np.zeros((3, 10))
+    w = weights_from_edges(3, [(0, 1, 0.5), (1, 2, -0.25)])
+    assert ViewGraph(node_features=feats, weights=w).edges == ((0, 1, 0.5), (1, 2, -0.25))
+    self_edge = w.copy()
+    self_edge[1, 1] = 0.5
+    with pytest.raises(ValueError, match="self-edge at node 1"):
+        ViewGraph(node_features=feats, weights=self_edge)
+    asymmetric = w.copy()
+    asymmetric[0, 1] = 0.4
+    with pytest.raises(ValueError, match="symmetric"):
+        ViewGraph(node_features=feats, weights=asymmetric)
+    with pytest.raises(ValueError, match="square"):
+        ViewGraph(node_features=feats, weights=np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"node features must be \(4, F\)"):
+        ViewGraph(node_features=feats, weights=np.zeros((4, 4)))
+    non_finite = w.copy()
+    non_finite[0, 2] = non_finite[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ViewGraph(node_features=feats, weights=non_finite)

@@ -205,6 +205,20 @@ class TestExportPopulationGraph:
         assert node["label"] in (0, 1)
         assert all("distance" in g.edges[e] for e in g.edges)
 
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        path = export_population_graph(
+            self._features(6, p=3),
+            [0, 1, 0],
+            tmp_path / "g.dot",
+            "dot",
+            ids=['a"b', "c\\d", "2"],
+            splits=['t"x', "val", "test"],
+        )
+        lines = path.read_text().splitlines()
+        assert lines[1] == '  n0 [id="a\\"b", label=0, split="t\\"x"];'
+        assert lines[2] == '  n1 [id="c\\\\d", label=1, split="val"];'
+        assert lines[3] == '  n2 [id="2", label=0, split="test"];'
+
     def test_three_patients_complete(self, tmp_path):
         path = export_population_graph(self._features(6, p=3), [0, 1, 0], tmp_path / "g.dot", "dot")
         _, edges = parse_dot(path.read_text())

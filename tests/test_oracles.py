@@ -1,5 +1,8 @@
 """Vectorised production paths against the reference versions in tests/oracles.py."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
+from ccgl import connectivity
 from ccgl.autodiff import ParamStore, Tensor
 from ccgl.cohort import RoiTimeSeries
-from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph
+from ccgl.connectivity import CorrelationMatrix, EdgePolicy, ViewGraph, build_fc_graph
 from ccgl.metrics import auc, knn_baseline
 from ccgl.population import _edge_conv_t, knn_edges
 from ccgl.spectral import induced_laplacian, normalized_laplacian
@@ -79,6 +83,52 @@ class TestKnnOracle:
         assert np.array_equal(predictions, (expected >= 0.5).astype(np.int64))
 
 
+@st.composite
+def partial_matrices(draw):
+    """(partial, per_node_top): R in [2, 40], per_node_top in [1, R + 2], often on a grid so magnitudes tie."""
+    r = draw(st.integers(2, 40))
+    top = draw(st.integers(1, r + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.uniform(-1.0, 1.0, (r, r))
+    if draw(st.booleans()):  # equal |partial| across a row, opposite signs and exact zeros
+        levels = draw(st.integers(1, 4))
+        upper = np.round(upper * levels) / levels
+    upper = np.triu(upper, k=1)
+    partial = upper + upper.T
+    np.fill_diagonal(partial, 1.0)
+    return partial, top
+
+
+def fc_graph_on(partial, top):
+    """build_fc_graph with its partial-correlation matrix replaced by ``partial``."""
+    r = partial.shape[0]
+    series = RoiTimeSeries(np.random.default_rng(r).standard_normal((r + 3, r)))
+    with mock.patch.object(connectivity, "partial_corr_matrix", return_value=CorrelationMatrix(partial)):
+        return build_fc_graph(series, np.zeros(7), EdgePolicy(per_node_top=top))
+
+
+def oracle_edges(partial, top):
+    # a retained pair whose partial correlation is exactly 0 has no weight, so it is no edge
+    return tuple(e for e in oracles.fc_edges(partial, top) if e[2] != 0.0)
+
+
+class TestFcEdgeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=partial_matrices())
+    def test_edges_match_per_node_selection(self, case):
+        partial, top = case
+        assert fc_graph_on(partial, top).edges == oracle_edges(partial, top)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=partial_matrices())
+    def test_stored_adjacency_matches_tuple_decoder(self, case):
+        partial, top = case
+        expected = oracles.adjacency_from_edges(
+            SimpleNamespace(edges=oracle_edges(partial, top), roi_count=partial.shape[0])
+        )
+        assert_same_csr(normalized_laplacian(fc_graph_on(partial, top)).adjacency, expected)
+
+
 def assert_same_csr(a, b):
     assert a.format == b.format == "csr"
     assert np.array_equal(a.indptr, b.indptr)
@@ -94,10 +144,12 @@ def assert_matches_scipy_build(lap):
 
 
 LAPLACIAN_GRAPHS = {
-    "empty": ViewGraph(node_features=np.zeros((4, 11)), edges=(), roi_count=4),
-    "isolated_node": ViewGraph(node_features=np.zeros((3, 10)), edges=((0, 1, -0.5),), roi_count=3),
+    "empty": ViewGraph(node_features=np.zeros((4, 11)), weights=np.zeros((4, 4))),
+    "isolated_node": ViewGraph(
+        node_features=np.zeros((3, 10)), weights=oracles.weights_from_edges(3, [(0, 1, -0.5)])
+    ),
     "two_isolated_nodes": ViewGraph(
-        node_features=np.zeros((5, 12)), edges=((0, 3, 0.2), (3, 4, -0.7)), roi_count=5
+        node_features=np.zeros((5, 12)), weights=oracles.weights_from_edges(5, [(0, 3, 0.2), (3, 4, -0.7)])
     ),
 }
 for _rois, _top, _seed in ((8, 3, 0), (16, 10, 1), (16, 2, 2), (130, 3, 3)):

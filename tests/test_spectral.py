@@ -4,6 +4,7 @@ import pytest
 from ccgl.cohort import RoiTimeSeries
 from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph
 from ccgl.spectral import induced_laplacian, largest_eigenvalue, normalized_laplacian
+from tests.oracles import weights_from_edges
 
 
 def random_view_graph(seed, rois=8, top=3):
@@ -14,20 +15,20 @@ def random_view_graph(seed, rois=8, top=3):
 
 class TestNormalizedLaplacian:
     def test_empty_graph_is_identity(self):
-        graph = ViewGraph(node_features=np.zeros((4, 11)), edges=(), roi_count=4)
+        graph = ViewGraph(node_features=np.zeros((4, 11)), weights=np.zeros((4, 4)))
         lap = normalized_laplacian(graph)
         assert np.allclose(lap.laplacian.toarray(), np.eye(4), atol=0)
         assert lap.lambda_max == pytest.approx(1.0)
         assert np.allclose(lap.scaled.toarray(), np.eye(4), atol=0)
 
     def test_single_edge_two_nodes(self):
-        graph = ViewGraph(node_features=np.zeros((2, 9)), edges=((0, 1, 0.37),), roi_count=2)
+        graph = ViewGraph(node_features=np.zeros((2, 9)), weights=weights_from_edges(2, [(0, 1, 0.37)]))
         lap = normalized_laplacian(graph)
         assert np.allclose(lap.laplacian.toarray(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert lap.lambda_max == pytest.approx(2.0, abs=1e-9)
 
     def test_isolated_node_row_is_identity(self):
-        graph = ViewGraph(node_features=np.zeros((3, 10)), edges=((0, 1, -0.5),), roi_count=3)
+        graph = ViewGraph(node_features=np.zeros((3, 10)), weights=weights_from_edges(3, [(0, 1, -0.5)]))
         lap = normalized_laplacian(graph).laplacian.toarray()
         assert np.array_equal(lap[2], np.array([0.0, 0.0, 1.0]))
 
@@ -74,13 +75,8 @@ class TestInducedLaplacian:
         lap = normalized_laplacian(graph)
         kept = np.array([0, 2, 3, 6])
         sub = induced_laplacian(lap, kept)
-        keep = set(kept.tolist())
-        relabel = {int(old): new for new, old in enumerate(kept)}
-        edges = tuple(
-            (relabel[i], relabel[j], w) for i, j, w in graph.edges if i in keep and j in keep
-        )
         direct = normalized_laplacian(
-            ViewGraph(node_features=graph.node_features[kept], edges=edges, roi_count=4)
+            ViewGraph(node_features=graph.node_features[kept], weights=graph.weights[np.ix_(kept, kept)])
         )
         assert np.allclose(sub.laplacian.toarray(), direct.laplacian.toarray())
         assert sub.lambda_max == pytest.approx(direct.lambda_max, abs=1e-9)
