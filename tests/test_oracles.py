@@ -16,7 +16,7 @@ from ccgl.cohort import RoiTimeSeries
 from ccgl.connectivity import CorrelationMatrix, EdgePolicy, ViewGraph, build_fc_graph
 from ccgl.metrics import auc, knn_baseline
 from ccgl.population import _edge_conv_t, knn_edges
-from ccgl.spectral import induced_laplacian, normalized_laplacian
+from ccgl.spectral import induced_laplacian, largest_eigenvalue, normalized_laplacian
 from tests import oracles
 
 
@@ -182,6 +182,38 @@ class TestLaplacianOracle:
         reference, _, _ = oracles.scipy_scaled_laplacian(lap.adjacency)
         assert_same_csr(lap.laplacian, reference)
         assert_same_csr(lap.scaled, (reference - sp.identity(16, format="csr")).tocsr())
+
+
+@st.composite
+def signed_weights(draw):
+    """Symmetric signed weights: R in [2, 40], edge density down to 0, some nodes isolated."""
+    r = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.uniform(-1.0, 1.0, (r, r)), k=1)
+    upper[rng.random((r, r)) >= draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))] = 0.0
+    weights = upper + upper.T
+    isolated = rng.choice(r, size=draw(st.integers(0, r)), replace=False)
+    weights[isolated, :] = weights[:, isolated] = 0.0
+    return weights
+
+
+class TestPowerIterationOracle:
+    """The exact largest eigenvalue agrees with Ritz-polished power iteration run to 1e-9."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(weights=signed_weights())
+    def test_lambda_matches_power_iteration(self, weights):
+        r = weights.shape[0]
+        lap = normalized_laplacian(ViewGraph(node_features=np.zeros((r, 9)), weights=weights))
+        lam, _ = oracles.power_iteration(lap.laplacian)
+        assert abs(lap.lambda_max - min(2.0, max(lam, 1.0))) <= 1e-8
+        assert abs(largest_eigenvalue(lap.laplacian, tol=1e-9) - min(2.0, max(lam, 1e-12))) <= 1e-8
+
+    def test_sparse_input_above_dense_limit(self):
+        lap = normalized_laplacian(LAPLACIAN_GRAPHS["fc_r130_top3"]).laplacian
+        assert sp.issparse(lap) and lap.shape[0] > oracles.DENSE_POWER_LIMIT
+        lam, _ = oracles.power_iteration(lap)
+        assert abs(largest_eigenvalue(lap, tol=1e-9) - min(2.0, lam)) <= 1e-8
 
 
 class TestEdgeConvOracle:
