@@ -161,7 +161,7 @@ def auc(scores, labels) -> float:
 # Laplacian build with scipy-sparse operators
 # ---------------------------------------------------------------------------
 
-def scipy_scaled_laplacian(adjacency: sp.csr_matrix, tol: float = 1e-9, seed: int = 0):
+def scipy_scaled_laplacian(adjacency: sp.csr_matrix):
     """(laplacian, lambda_max, scaled) built by chained scipy-sparse operators."""
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
@@ -170,10 +170,8 @@ def scipy_scaled_laplacian(adjacency: sp.csr_matrix, tol: float = 1e-9, seed: in
     sym = d_half @ adjacency @ d_half
     sym = (sym + sym.T) * 0.5
     lap = (sp.identity(adjacency.shape[0], format="csr") - sym).tocsr()
-    lam, residual = spectral._power_iteration(lap, tol, spectral.POWER_MAX_ITER, seed)
-    lam = min(2.0, max(lam, 1.0))
-    lam_scale = min(2.0, lam + 10.0 * residual)
-    scaled = (2.0 / lam_scale) * lap - sp.identity(lap.shape[0], format="csr")
+    lam = min(2.0, max(spectral._power_iteration(lap), 1.0))
+    scaled = (2.0 / lam) * lap - sp.identity(lap.shape[0], format="csr")
     return lap, lam, scaled.tocsr()
 
 
