@@ -179,14 +179,19 @@ def reshape(a, shape) -> Tensor:
 
 
 def spmm(s, x) -> Tensor:
-    """Constant sparse matrix times dense tensor. No gradient flows into s."""
+    """Constant symmetric sparse matrix times dense tensor. No gradient flows into s.
+
+    The backward multiplies by s itself, not s.T: the two agree for the
+    symmetric matrices this is used with, and s.T would build a transposed
+    copy on every call.
+    """
     x = _as_tensor(x)
     if not sp.issparse(s):
         raise ValueError("spmm expects a scipy sparse matrix on the left")
     if s.shape[1] != x.data.shape[0]:
         raise ValueError(f"spmm shape mismatch: {s.shape} @ {x.data.shape}")
     out = Tensor(s @ x.data, (x,))
-    out._vjp = lambda g: (s.T @ g,)
+    out._vjp = lambda g: (s @ g,)
     return out
 
 

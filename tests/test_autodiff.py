@@ -72,7 +72,8 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         store = make_store(W=rng.standard_normal((4, 3)), b=rng.standard_normal(3))
         x = rng.standard_normal((5, 4))
-        s = sp.csr_matrix(np.abs(rng.standard_normal((5, 5))))
+        a = np.abs(rng.standard_normal((5, 5)))
+        s = sp.csr_matrix(a + a.T)  # spmm takes a symmetric matrix
 
         def f(leaves):
             h = ad.relu(ad.add(ad.matmul(Tensor(x), leaves["W"]), leaves["b"]))

@@ -42,6 +42,20 @@ class TestNormalizedLaplacian:
             assert scaled.min() >= -1.0 - 1e-9
             assert scaled.max() <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("lambda_mode", ["power", "fixed2"])
+    def test_scaled_is_exactly_symmetric(self, lambda_mode):
+        # autodiff.spmm's backward multiplies by scaled itself in place of its transpose
+        rng = np.random.default_rng(0)
+        for seed in range(10):
+            lap = normalized_laplacian(random_view_graph(seed, rois=16, top=seed % 5 + 1), lambda_mode)
+            laps = [lap] + [
+                induced_laplacian(lap, np.sort(rng.choice(16, size=size, replace=False)), lambda_mode)
+                for size in (1, 5, 8, 16)
+            ]
+            for each in laps:
+                dense = each.scaled.toarray()
+                assert np.array_equal(dense, dense.T)
+
     def test_fixed2_mode(self):
         graph = random_view_graph(3)
         lap = normalized_laplacian(graph, lambda_mode="fixed2")
