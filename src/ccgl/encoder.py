@@ -244,9 +244,12 @@ def prepare_views(cohort: Cohort, cfg: RunConfig) -> list:
     return prepared
 
 
-def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig) -> list:
-    """Per-patient lists of view embeddings (unit vectors), cohort order."""
-    prepared = prepare_views(cohort, cfg)
+def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig, prepared: list | None = None) -> list:
+    """Per-patient lists of view embeddings (unit vectors), cohort order.
+
+    ``prepared`` reuses the output of ``prepare_views`` for this cohort and cfg.
+    """
+    prepared = prepare_views(cohort, cfg) if prepared is None else prepared
     leaves = ad.make_leaves(params)
     return [
         [_encode_t(view, leaves, cfg.encoder).data.ravel() for view in views]
@@ -254,20 +257,21 @@ def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig) -> list:
     ]
 
 
-def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None):
+def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared: list | None = None):
     """Contrastive training over the cohort's training patients.
 
     Every epoch shuffles the training patients, embeds two views per
     patient per batch, and applies one Adam step per batch on the batch
     loss. Returns the trained parameters and a per-epoch history of
     (loss, mean same-patient attraction, mean cross-patient attraction).
+    ``prepared`` reuses the output of ``prepare_views`` for this cohort and cfg.
     """
     seed = cfg.seeds[0] if seed is None else int(seed)
     train_idx = [i for i, p in enumerate(cohort.patients) if p.split == "train"]
     if len(train_idx) < 2:
         raise ValueError(f"need >= 2 training patients, found {len(train_idx)}")
 
-    prepared = prepare_views(cohort, cfg)
+    prepared = prepare_views(cohort, cfg) if prepared is None else prepared
     in_dim = prepared[0][0].features.shape[1]
     store = init_encoder_params(in_dim, cfg.encoder, seed)
     rng = np.random.default_rng([seed, 1])

@@ -19,7 +19,7 @@ from .autodiff import load_checkpoint, save_checkpoint
 from .cohort import Cohort, PatientRecord, RoiTimeSeries, load_cohort, split_cohort, standardized_pcd, synth_cohort
 from .config import RunConfig, save_config
 from .connectivity import pearson_matrix
-from .encoder import embed_cohort, similarity_matrix, train_cgl
+from .encoder import embed_cohort, prepare_views, similarity_matrix, train_cgl
 from .metrics import (
     attraction_stats,
     auc,
@@ -109,16 +109,20 @@ def _sha256(path: Path) -> str:
 def stage_train_cgl(cfg: RunConfig, seed: int):
     """Train the encoder, then embed the cohort once for every later stage.
 
+    Both steps share one pass of ``prepare_views``, so each view graph and
+    its Laplacian are built once per seed.
+
     ``embeddings.npz`` holds the (N, V, d) view embeddings and the sha256 of
     the ``cgl_params.json`` they came from; it is renamed into place only
     once complete.
     """
     out = seed_dir(cfg, seed)
     cohort = load_snapshot(out)
-    params, history = train_cgl(cohort, cfg, seed)
+    prepared = prepare_views(cohort, cfg)
+    params, history = train_cgl(cohort, cfg, seed, prepared=prepared)
     save_checkpoint(params, out / "cgl_params.json")
     _write_history_csv(history, out / "cgl_history.csv", ["epoch", "loss", "mean_homo", "mean_heter"])
-    embeddings = np.asarray(embed_cohort(cohort, params, cfg), dtype=np.float64)
+    embeddings = np.asarray(embed_cohort(cohort, params, cfg, prepared=prepared), dtype=np.float64)
     partial = out / "embeddings.npz.partial"
     with open(partial, "wb") as fh:
         np.savez(fh, embeddings=embeddings, cgl_params_sha256=_sha256(out / "cgl_params.json"))

@@ -203,6 +203,15 @@ class TestEmbeddingsArtifact:
         assert stored.dtype == np.float64 and stored.shape == (10, cfg.n_views, 6)
         assert np.array_equal(stored, np.asarray(fresh, dtype=np.float64))
 
+    def test_train_cgl_builds_each_view_graph_once(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        cohort = stage_data(cfg, 0)
+        built = []
+        real = encoder.build_fc_graph
+        monkeypatch.setattr(encoder, "build_fc_graph", lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
+        stage_train_cgl(cfg, 0)
+        assert len(built) == len(cohort.patients) * cfg.n_views
+
     def test_later_stages_refuse_embeddings_of_another_checkpoint(self, trained_run):
         cfg, run_dir = trained_run
         params = load_checkpoint(run_dir / "cgl_params.json")
