@@ -9,6 +9,7 @@ of a patient's series.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -176,8 +177,13 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
         if not _is_json_int(label) or label not in (0, 1):
             raise ValueError(f"patient {pid!r} (entry {pos}): field 'label' must be the integer 0 or 1, got {label!r}")
         pcd = entry["pcd"]
+        if not isinstance(pcd, list):
+            raise ValueError(f"patient {pid!r} (entry {pos}): field 'pcd' must be a list of {PCD_SIZE} numbers, got {pcd!r}")
         if len(pcd) != PCD_SIZE:
             raise ValueError(f"patient {pid!r} (entry {pos}): pcd has length {len(pcd)}, expected {PCD_SIZE}")
+        for k, value in enumerate(pcd):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"patient {pid!r} (entry {pos}): field 'pcd' item {k} must be a finite number, got {value!r}")
         csv_path = manifest_path.parent / entry["csv"]
         if not csv_path.exists():
             raise ValueError(f"patient {pid!r} (entry {pos}): csv not found: {csv_path}")

@@ -54,6 +54,23 @@ class TestLoadCohort:
         with pytest.raises(ValueError, match=r"p1.*pcd has length 2"):
             load_cohort(manifest)
 
+    @pytest.mark.parametrize(
+        "pcd, named",
+        [
+            (5, r"field 'pcd' must be a list of 7 numbers, got 5"),
+            ([1.0, 2.0, "a", 4.0, 5.0, 6.0, 7.0], r"field 'pcd' item 2 must be a finite number, got 'a'"),
+            ([True, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], r"field 'pcd' item 0 must be a finite number, got True"),
+        ],
+        ids=["scalar", "string_entry", "boolean_entry"],
+    )
+    def test_pcd_must_be_finite_numbers(self, manifest_dir, pcd, named):
+        manifest = manifest_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["patients"][1]["pcd"] = pcd
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"patient 'p1' \(entry 1\): " + named):
+            load_cohort(manifest)
+
     def test_duplicate_id(self, manifest_dir):
         manifest = manifest_dir / "manifest.json"
         doc = json.loads(manifest.read_text())
