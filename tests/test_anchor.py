@@ -11,12 +11,18 @@ they are.
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ccgl import pipeline
 from ccgl.config import desk_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 SEED = 0
 TOL = 1e-12
@@ -86,3 +92,16 @@ def test_last_history_losses(anchor):
 
 def test_embedding_means(anchor):
     np.testing.assert_allclose(anchor["embedding_means"], ANCHOR_EMBEDDING_MEANS, rtol=0, atol=TOL)
+
+
+def test_metrics_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The anchor config gives the same metrics.json bytes with one and with two BLAS threads."""
+    script = "import sys; from tests.test_anchor import anchor_config; from ccgl.pipeline import run_pipeline; run_pipeline(anchor_config(sys.argv[1]))"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), str(REPO), env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-c", script, str(out)], cwd=REPO, env=env, check=True, timeout=600)
+        outputs.append((out / "metrics.json").read_bytes())
+    assert outputs[0] == outputs[1]
