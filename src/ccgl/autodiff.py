@@ -181,9 +181,7 @@ def reshape(a, shape) -> Tensor:
 def spmm(s, x) -> Tensor:
     """Constant symmetric sparse matrix times dense tensor. No gradient flows into s.
 
-    The backward multiplies by s itself, not s.T: the two agree for the
-    symmetric matrices this is used with, and s.T would build a transposed
-    copy on every call.
+    The backward multiplies by s, equal to s.T here, without building a transpose.
     """
     x = _as_tensor(x)
     if not sp.issparse(s):
