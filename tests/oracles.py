@@ -9,6 +9,8 @@ that is easy to read.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -95,6 +97,78 @@ def edge_conv_t(
     if aggregation == "max":
         return segment_max(messages, src, n)
     raise ValueError(f"unknown aggregation {aggregation!r}")
+
+
+# ---------------------------------------------------------------------------
+# per-view spectral encoder
+# ---------------------------------------------------------------------------
+
+def spmm(s, x) -> Tensor:
+    """Constant symmetric sparse matrix times dense tensor. No gradient flows into s.
+
+    The backward multiplies by s, equal to s.T here, without building a transpose.
+    """
+    x = ad._as_tensor(x)
+    if not sp.issparse(s):
+        raise ValueError("spmm expects a scipy sparse matrix on the left")
+    if s.shape[1] != x.data.shape[0]:
+        raise ValueError(f"spmm shape mismatch: {s.shape} @ {x.data.shape}")
+    out = Tensor(s @ x.data, (x,))
+    out._vjp = lambda g: (s @ g,)
+    return out
+
+
+def chebyshev_t(v: Tensor, scaled_lap, thetas) -> Tensor:
+    """Sum_k Z_k theta_k with Z_1 = V, Z_2 = L~ V, Z_k = 2 L~ Z_{k-1} - Z_{k-2}."""
+    out = ad.matmul(v, thetas[0])
+    if len(thetas) == 1:
+        return out
+    z_prev2, z_prev = v, spmm(scaled_lap, v)
+    out = ad.add(out, ad.matmul(z_prev, thetas[1]))
+    for theta in thetas[2:]:
+        z = ad.sub(ad.mul(spmm(scaled_lap, z_prev), 2.0), z_prev2)
+        out = ad.add(out, ad.matmul(z, theta))
+        z_prev2, z_prev = z_prev, z
+    return out
+
+
+def topk_pool_t(v: Tensor, lap, score_vec: Tensor, ratio: float, lambda_mode: str = "power"):
+    """Keep the ceil(ratio * R) best-scoring nodes, gate features by tanh(score).
+
+    Node selection is structural (no gradient through the ranking); the
+    gradient reaches the score vector through the tanh gate. Ties keep the
+    lower node index.
+    """
+    norm = ad.sqrt(ad.reduce_sum(ad.mul(score_vec, score_vec)))
+    scores = ad.matmul(v, ad.div(score_vec, norm))
+    flat = scores.data.ravel()
+    n_keep = max(1, int(math.ceil(ratio * flat.size)))
+    order = np.argsort(-flat, kind="stable")
+    kept = np.sort(order[:n_keep])
+    gated = ad.mul(ad.gather_rows(v, kept), ad.tanh(ad.gather_rows(scores, kept)))
+    sub_lap = spectral.induced_laplacian(lap, kept, lambda_mode=lambda_mode)
+    return gated, sub_lap, kept
+
+
+def encode_t(view, leaves: dict, settings) -> Tensor:
+    """Forward one prepared view to a unit-length (1, d) embedding on the tape."""
+    v = Tensor(view.features)
+    lap = view.lap
+    for block in (1, 2):
+        thetas = [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
+        v = ad.relu(chebyshev_t(v, lap.scaled, thetas))
+        v, lap, _ = topk_pool_t(
+            v, lap, leaves[f"block{block}/pool"], settings.pool_ratio, settings.lambda_mode
+        )
+    readout = ad.concat(
+        [ad.reduce_mean(v, axis=0, keepdims=True), ad.reduce_max(v, axis=0, keepdims=True)],
+        axis=1,
+    )
+    h = ad.matmul(readout, leaves["readout"])
+    norm = ad.sqrt(ad.reduce_sum(ad.mul(h, h), axis=1, keepdims=True))
+    if norm.data.item() == 0.0:
+        raise ValueError("zero-norm embedding")
+    return ad.div(h, norm)
 
 
 # ---------------------------------------------------------------------------
