@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 CHECKPOINT_VERSION = "ccgl-ckpt-1"
 
@@ -154,11 +153,36 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
-    out._vjp = lambda g: (g @ b.data.T, a.data.T @ g)
+    """a @ b; either operand may carry a leading batch axis.
+
+    A numpy operand is a constant: it is not recorded and gets no gradient.
+    The gradient of a 2-D operand of a batched product is summed over the batch.
+    """
+    x = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+    y = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    if (
+        x.ndim not in (2, 3)
+        or y.ndim not in (2, 3)
+        or x.shape[-1] != y.shape[-2]
+        or (x.ndim == y.ndim == 3 and x.shape[0] != y.shape[0])
+    ):
+        raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+
+    def vjp(g):
+        pieces = []
+        if isinstance(a, Tensor):
+            pieces.append(_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape))
+        if isinstance(b, Tensor):
+            if y.ndim == 2:
+                # one product sums over the batch and the rows together
+                pieces.append(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                pieces.append(_unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
+        return tuple(pieces)
+
+    out = Tensor(x @ y, parents)
+    out._vjp = vjp
     return out
 
 
@@ -175,21 +199,6 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape), (a,))
     out._vjp = lambda g: (g.reshape(a.data.shape),)
-    return out
-
-
-def spmm(s, x) -> Tensor:
-    """Constant symmetric sparse matrix times dense tensor. No gradient flows into s.
-
-    The backward multiplies by s, equal to s.T here, without building a transpose.
-    """
-    x = _as_tensor(x)
-    if not sp.issparse(s):
-        raise ValueError("spmm expects a scipy sparse matrix on the left")
-    if s.shape[1] != x.data.shape[0]:
-        raise ValueError(f"spmm shape mismatch: {s.shape} @ {x.data.shape}")
-    out = Tensor(s @ x.data, (x,))
-    out._vjp = lambda g: (s @ g,)
     return out
 
 
@@ -336,6 +345,24 @@ def take_pairs(a, rows, cols) -> Tensor:
     def vjp(g):
         grad = np.zeros_like(a.data)
         np.add.at(grad, (rows, cols), g)
+        return (grad,)
+
+    out._vjp = vjp
+    return out
+
+
+def take_along_axis(a, index, axis: int) -> Tensor:
+    """np.take_along_axis on the tape; index must not repeat along axis.
+
+    Unique indices make the backward one scatter with no accumulation.
+    """
+    a = _as_tensor(a)
+    index = np.asarray(index, dtype=np.int64)
+    out = Tensor(np.take_along_axis(a.data, index, axis=axis), (a,))
+
+    def vjp(g):
+        grad = np.zeros_like(a.data)
+        np.put_along_axis(grad, index, g, axis=axis)
         return (grad,)
 
     out._vjp = vjp

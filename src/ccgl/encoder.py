@@ -92,15 +92,27 @@ def init_encoder_params(in_dim: int, settings: EncoderSettings, seed: int) -> Pa
     return store
 
 
-def _chebyshev_t(v: Tensor, scaled_lap, thetas) -> Tensor:
-    """Sum_k Z_k theta_k with Z_1 = V, Z_2 = L~ V, Z_k = 2 L~ Z_{k-1} - Z_{k-2}."""
+def _chebyshev_basis(scaled: np.ndarray, x: np.ndarray, k: int) -> list:
+    """[Z_1, ..., Z_k] with Z_1 = X, Z_2 = L~ X, Z_k = 2 L~ Z_{k-1} - Z_{k-2}, off the tape.
+
+    For a constant X the basis depends on no parameter, so a Chebyshev
+    filter of X is one product per term with no recorded recursion.
+    """
+    basis = [x, scaled @ x][:k]
+    while len(basis) < k:
+        basis.append((scaled @ basis[-1]) * 2.0 - basis[-2])
+    return basis
+
+
+def _chebyshev_t(v: Tensor, scaled: np.ndarray, thetas) -> Tensor:
+    """Sum_k Z_k theta_k for a (B, R, F) tensor V and a constant (B, R, R) stack L~."""
     out = ad.matmul(v, thetas[0])
     if len(thetas) == 1:
         return out
-    z_prev2, z_prev = v, ad.spmm(scaled_lap, v)
+    z_prev2, z_prev = v, ad.matmul(scaled, v)
     out = ad.add(out, ad.matmul(z_prev, thetas[1]))
     for theta in thetas[2:]:
-        z = ad.sub(ad.mul(ad.spmm(scaled_lap, z_prev), 2.0), z_prev2)
+        z = ad.sub(ad.mul(ad.matmul(scaled, z_prev), 2.0), z_prev2)
         out = ad.add(out, ad.matmul(z, theta))
         z_prev2, z_prev = z_prev, z
     return out
@@ -111,61 +123,77 @@ def chebyshev_conv(v: np.ndarray, lap: ScaledLaplacian, thetas) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != lap.n_nodes:
         raise ValueError(f"features must be ({lap.n_nodes}, F), got {v.shape}")
-    theta_ts = [Tensor(np.asarray(t, dtype=np.float64)) for t in thetas]
-    return _chebyshev_t(Tensor(v), lap.scaled, theta_ts).data
+    basis = _chebyshev_basis(lap.scaled.toarray(), v, len(thetas))
+    return sum(z @ np.asarray(t, dtype=np.float64) for z, t in zip(basis, thetas))
 
 
-def _topk_pool_t(
-    v: Tensor,
-    lap: ScaledLaplacian,
-    score_vec: Tensor,
-    ratio: float,
-    lambda_mode: str = "power",
-):
-    """Keep the ceil(ratio * R) best-scoring nodes, gate features by tanh(score).
+def _topk_pool_t(v: Tensor, score_vec: Tensor, ratio: float):
+    """Keep each view's ceil(ratio * R) best-scoring nodes, gate features by tanh(score).
 
-    Node selection is structural (no gradient through the ranking); the
-    gradient reaches the score vector through the tanh gate. Ties keep the
-    lower node index.
+    ``v`` is (B, R, F). Node selection is structural (no gradient through the
+    ranking); the gradient reaches the score vector through the tanh gate.
+    Ties keep the lower node index. Returns the gated (B, R', F) tensor and
+    the (B, R') kept node indices, ascending in each row.
     """
     norm = ad.sqrt(ad.reduce_sum(ad.mul(score_vec, score_vec)))
     scores = ad.matmul(v, ad.div(score_vec, norm))
-    flat = scores.data.ravel()
-    n_keep = max(1, int(math.ceil(ratio * flat.size)))
-    order = np.argsort(-flat, kind="stable")
-    kept = np.sort(order[:n_keep])
-    gated = ad.mul(ad.gather_rows(v, kept), ad.tanh(ad.gather_rows(scores, kept)))
-    sub_lap = induced_laplacian(lap, kept, lambda_mode=lambda_mode)
-    return gated, sub_lap, kept
+    n_keep = max(1, int(math.ceil(ratio * v.shape[1])))
+    order = np.argsort(-scores.data[..., 0], axis=1, kind="stable")
+    kept = np.sort(order[:, :n_keep], axis=1)
+    index = kept[..., None]
+    gated = ad.mul(ad.take_along_axis(v, index, axis=1), ad.tanh(ad.take_along_axis(scores, index, axis=1)))
+    return gated, kept
 
 
 def topk_pool(v: np.ndarray, lap: ScaledLaplacian, score_vec: np.ndarray, ratio: float):
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"pool ratio must be in (0, 1], got {ratio}")
     p = np.asarray(score_vec, dtype=np.float64).reshape(-1, 1)
-    gated, sub_lap, kept = _topk_pool_t(Tensor(np.asarray(v, dtype=np.float64)), lap, Tensor(p), ratio)
-    return gated.data, sub_lap, kept
+    gated, kept = _topk_pool_t(Tensor(np.asarray(v, dtype=np.float64)[None]), Tensor(p), ratio)
+    return gated.data[0], induced_laplacian(lap, kept[0]), kept[0]
+
+
+def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) -> Tensor:
+    """Forward prepared views that share R and F to unit-length (B, d) embeddings on one tape.
+
+    Block 1 filters the constant features, so its Chebyshev basis is built
+    off the tape; block 2 filters by the stacked Laplacians of the subgraphs
+    block 1 kept. ``names`` labels the views in errors (default: row index).
+    """
+    def thetas(block):
+        return [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
+
+    basis = _chebyshev_basis(
+        np.stack([view.lap.scaled.toarray() for view in views]),
+        np.stack([view.features for view in views]),
+        settings.cheb_k,
+    )
+    theta1 = thetas(1)
+    h = ad.matmul(basis[0], theta1[0])
+    for z, theta in zip(basis[1:], theta1[1:]):
+        h = ad.add(h, ad.matmul(z, theta))
+    h, kept = _topk_pool_t(ad.relu(h), leaves["block1/pool"], settings.pool_ratio)
+    sub_scaled = np.stack(
+        [
+            induced_laplacian(view.lap, rows, lambda_mode=settings.lambda_mode).scaled.toarray()
+            for view, rows in zip(views, kept)
+        ]
+    )
+    h = ad.relu(_chebyshev_t(h, sub_scaled, thetas(2)))
+    h, _ = _topk_pool_t(h, leaves["block2/pool"], settings.pool_ratio)
+    readout = ad.concat([ad.reduce_mean(h, axis=1), ad.reduce_max(h, axis=1)], axis=1)
+    e = ad.matmul(readout, leaves["readout"])
+    norm = ad.sqrt(ad.reduce_sum(ad.mul(e, e), axis=1, keepdims=True))
+    zero = np.flatnonzero(norm.data.ravel() == 0.0)
+    if zero.size:
+        row = int(zero[0])
+        raise ValueError(f"zero-norm embedding for {names[row] if names else f'row {row}'}")
+    return ad.div(e, norm)
 
 
 def _encode_t(view: PreparedView, leaves: dict, settings: EncoderSettings) -> Tensor:
     """Forward one prepared view to a unit-length (1, d) embedding on the tape."""
-    v = Tensor(view.features)
-    lap = view.lap
-    for block in (1, 2):
-        thetas = [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
-        v = ad.relu(_chebyshev_t(v, lap.scaled, thetas))
-        v, lap, _ = _topk_pool_t(
-            v, lap, leaves[f"block{block}/pool"], settings.pool_ratio, settings.lambda_mode
-        )
-    readout = ad.concat(
-        [ad.reduce_mean(v, axis=0, keepdims=True), ad.reduce_max(v, axis=0, keepdims=True)],
-        axis=1,
-    )
-    h = ad.matmul(readout, leaves["readout"])
-    norm = ad.sqrt(ad.reduce_sum(ad.mul(h, h), axis=1, keepdims=True))
-    if norm.data.item() == 0.0:
-        raise ValueError("zero-norm embedding")
-    return ad.div(h, norm)
+    return _encode_batch_t([view], leaves, settings)
 
 
 def prepare_view(graph: ViewGraph, settings: EncoderSettings) -> PreparedView:
@@ -252,9 +280,13 @@ def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig, prepared: l
     prepared = prepare_views(cohort, cfg) if prepared is None else prepared
     leaves = ad.make_leaves(params)
     return [
-        [_encode_t(view, leaves, cfg.encoder).data.ravel() for view in views]
-        for views in prepared
+        list(_encode_batch_t(views, leaves, cfg.encoder, _view_names(patient.id, range(len(views)))).data)
+        for patient, views in zip(cohort.patients, prepared)
     ]
+
+
+def _view_names(patient_id, view_indices) -> list:
+    return [f"patient {patient_id}, view {v}" for v in view_indices]
 
 
 def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared: list | None = None):
@@ -287,11 +319,11 @@ def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared:
             else:
                 chosen = [tuple(rng.choice(cfg.n_views, size=2, replace=False)) for _ in batch]
             leaves = ad.make_leaves(store)
-            rows = []
-            for pidx, (va, vb) in zip(batch, chosen):
-                rows.append(_encode_t(prepared[pidx][va], leaves, cfg.encoder))
-                rows.append(_encode_t(prepared[pidx][vb], leaves, cfg.encoder))
-            emb = ad.concat(rows, axis=0)
+            views = [prepared[pidx][v] for pidx, pair in zip(batch, chosen) for v in pair]
+            names = [
+                name for pidx, pair in zip(batch, chosen) for name in _view_names(cohort.patients[pidx].id, pair)
+            ]
+            emb = _encode_batch_t(views, leaves, cfg.encoder, names)
             loss, m_values = _contrastive_loss_t(emb, cfg.encoder.tau)
             loss_val = loss.data.item()
             if not np.isfinite(loss_val):

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from ccgl import autodiff as ad
 from ccgl.autodiff import ParamStore, Tensor
@@ -72,12 +71,11 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         store = make_store(W=rng.standard_normal((4, 3)), b=rng.standard_normal(3))
         x = rng.standard_normal((5, 4))
-        a = np.abs(rng.standard_normal((5, 5)))
-        s = sp.csr_matrix(a + a.T)  # spmm takes a symmetric matrix
+        s = np.abs(rng.standard_normal((2, 5, 5)))  # a constant stack
 
         def f(leaves):
             h = ad.relu(ad.add(ad.matmul(Tensor(x), leaves["W"]), leaves["b"]))
-            h = ad.spmm(s, h)
+            h = ad.reduce_sum(ad.matmul(s, h), axis=0)
             e = ad.exp(ad.mul(h, 0.2))
             q = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
             picked = ad.take_pairs(q, np.array([0, 2]), np.array([1, 0]))
@@ -112,6 +110,40 @@ class TestPrimitives:
         ad.backward(loss)
         assert a.grad is not None and b.grad is not None
         assert np.allclose(b.grad[1], 2 * b.data[1])
+
+    def test_take_along_axis_scatters_back(self):
+        x = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        index = np.array([[0, 3], [2, 1]])[..., None]
+        picked = ad.take_along_axis(x, index, axis=1)
+        assert np.array_equal(picked.data, np.take_along_axis(x.data, index, axis=1))
+        ad.backward(ad.reduce_sum(ad.mul(picked, picked)))
+        expected = np.zeros((2, 4, 3))
+        np.put_along_axis(expected, index, 2.0 * picked.data, axis=1)
+        assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("shapes", [((3, 4, 5), (5, 2)), ((3, 4, 5), (3, 5, 2)), ((4, 5), (3, 5, 2))])
+    def test_batched_matmul_grad_check(self, shapes):
+        rng = np.random.default_rng(5)
+        store = make_store(a=rng.standard_normal(shapes[0]), b=rng.standard_normal(shapes[1]))
+
+        def f(leaves):
+            return ad.reduce_sum(ad.tanh(ad.matmul(leaves["a"], leaves["b"])))
+
+        assert ad.grad_check(f, store, eps=1e-5, samples=20, seed=1) < 1e-6
+
+    def test_matmul_constant_operand_is_not_recorded(self):
+        w = Tensor(np.ones((3, 2)))
+        const = np.ones((4, 5, 3))
+        out = ad.matmul(const, w)
+        assert out.data.shape == (4, 5, 2)
+        assert out._parents == (w,)
+        ad.backward(ad.reduce_sum(out))
+        assert np.array_equal(w.grad, np.full((3, 2), 20.0))
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (3, 4, 1)), ((5,), (5, 1)), ((2, 3), (4, 1))])
+    def test_matmul_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(ValueError, match="matmul shape mismatch"):
+            ad.matmul(np.ones(shapes[0]), Tensor(np.ones(shapes[1])))
 
     def test_reduce_max_tie_goes_to_first(self):
         x = Tensor(np.array([[1.0, 1.0, 0.5]]))

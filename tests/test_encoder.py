@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from ccgl import autodiff as ad
+from ccgl import encoder
 from ccgl.cohort import RoiTimeSeries, SynthSpec, split_cohort, synth_cohort
 from ccgl.config import EncoderSettings, RunConfig, TrainSettings
 from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph
@@ -9,6 +12,7 @@ from ccgl.encoder import (
     AttractionMatrix,
     PreparedView,
     _contrastive_loss_t,
+    _encode_batch_t,
     _encode_t,
     chebyshev_conv,
     contrastive_loss,
@@ -225,6 +229,49 @@ class TestEncoderGradients:
             return loss
 
         assert ad.grad_check(f, params, eps=1e-5, samples=30, seed=3) < 1e-4
+
+
+class TestBatchTape:
+    def test_tape_size_does_not_depend_on_batch_size(self):
+        # one contrastive batch of 1 patient (B = 2 views) and of 84 (B = 168)
+        cfg = tiny_config(synth=SynthSpec(n_patients=84, n_rois=8, n_timepoints=160))
+        cohort = split_cohort(synth_cohort(cfg.synth, 6), (1.0, 0.0, 0.0), 6)
+        prepared = prepare_views(cohort, cfg)
+        params = init_encoder_params(prepared[0][0].features.shape[1], cfg.encoder, seed=0)
+        counts = []
+        for n_patients in (1, 84):
+            views = [view for views in prepared[:n_patients] for view in views[:2]]
+            emb = _encode_batch_t(views, ad.make_leaves(params), cfg.encoder)
+            loss, _ = _contrastive_loss_t(emb, cfg.encoder.tau)
+            counts.append(len(ad.Tape.trace(loss).nodes))
+        assert counts[0] == counts[1]
+
+
+def _zero_readout(params):
+    params.values["readout"][:] = 0.0
+    return params
+
+
+class TestZeroNormEmbedding:
+    def test_train_cgl_names_patient_and_view(self, monkeypatch):
+        cfg = tiny_config()
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        init = encoder.init_encoder_params
+        monkeypatch.setattr(encoder, "init_encoder_params", lambda *args: _zero_readout(init(*args)))
+        train_idx = [i for i, p in enumerate(cohort.patients) if p.split == "train"]
+        first = train_idx[np.random.default_rng([0, 1]).permutation(len(train_idx))[0]]
+        expected = f"zero-norm embedding for patient {cohort.patients[first].id}, view 0"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            train_cgl(cohort, cfg, seed=0)
+
+    def test_embed_cohort_names_patient_and_view(self):
+        cfg = tiny_config()
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        prepared = prepare_views(cohort, cfg)
+        params = _zero_readout(init_encoder_params(prepared[0][0].features.shape[1], cfg.encoder, seed=0))
+        expected = f"zero-norm embedding for patient {cohort.patients[0].id}, view 0"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            encoder.embed_cohort(cohort, params, cfg, prepared=prepared)
 
 
 class TestTrainCgl:

@@ -13,7 +13,9 @@ from ccgl import autodiff as ad
 from ccgl import connectivity
 from ccgl.autodiff import ParamStore, Tensor
 from ccgl.cohort import RoiTimeSeries
+from ccgl.config import EncoderSettings
 from ccgl.connectivity import CorrelationMatrix, EdgePolicy, ViewGraph, build_fc_graph
+from ccgl.encoder import _encode_batch_t, init_encoder_params, prepare_view
 from ccgl.metrics import auc, knn_baseline
 from ccgl.population import _edge_conv_t, knn_edges
 from ccgl.spectral import induced_laplacian, largest_eigenvalue, normalized_laplacian
@@ -243,6 +245,69 @@ class TestEdgeConvOracle:
         np.testing.assert_allclose(x_grad, ref_x_grad, rtol=0, atol=1e-10)
         for grad, ref in zip(grads, ref_grads):
             np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-10)
+
+
+@st.composite
+def view_batches(draw):
+    """(views, settings): B in [1, 6] views sharing R in [2, 40], with tied pooling scores.
+
+    Edge densities run from the empty edge set to complete graphs, so
+    isolated nodes are common; copying one node's features onto others makes
+    isolated nodes tie exactly, and zero rows tie after relu.
+    """
+    b = draw(st.integers(1, 6))
+    r = draw(st.integers(2, 40))
+    f = draw(st.integers(1, 6))
+    enc = EncoderSettings(
+        hidden1=draw(st.integers(3, 8)),
+        hidden2=draw(st.integers(3, 8)),
+        embed_dim=draw(st.integers(1, 4)),
+        pool_ratio=draw(st.sampled_from([1e-3, 0.3, 0.5, 0.8, 1.0])),  # 1e-3 keeps one node
+        cheb_k=draw(st.integers(1, 4)),
+        lambda_mode=draw(st.sampled_from(["power", "fixed2"])),
+    )
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    views = []
+    for _ in range(b):
+        w = np.triu(rng.uniform(-1.0, 1.0, (r, r)) * (rng.random((r, r)) < density), 1)
+        x = rng.standard_normal((r, f))
+        n_tied = draw(st.integers(0, r - 1))
+        x[rng.integers(0, r, n_tied)] = x[rng.integers(0, r)]
+        x[rng.integers(0, r, draw(st.integers(0, r // 2)))] = 0.0
+        views.append(prepare_view(ViewGraph(node_features=x, weights=w + w.T), enc))
+    return views, enc
+
+
+class TestBatchedEncoderOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=view_batches(), seed=st.integers(0, 999))
+    def test_batched_matches_per_view(self, case, seed):
+        views, enc = case
+        params = init_encoder_params(views[0].features.shape[1], enc, seed)
+        loss_weights = np.random.default_rng(seed).standard_normal((len(views), enc.embed_dim))
+        encoders = (
+            lambda leaves: _encode_batch_t(views, leaves, enc),
+            lambda leaves: ad.concat([oracles.encode_t(view, leaves, enc) for view in views], axis=0),
+        )
+        results = []
+        for encode in encoders:
+            leaves = ad.make_leaves(params)
+            try:
+                out = encode(leaves)
+            except ValueError as err:
+                assert "zero-norm" in str(err)
+                results.append(None)
+                continue
+            ad.backward(ad.reduce_sum(ad.mul(out, loss_weights)))
+            results.append((out.data, {name: leaf.grad for name, leaf in leaves.items()}))
+        batched, reference = results
+        assert (batched is None) == (reference is None)
+        if batched is None:
+            return
+        np.testing.assert_allclose(batched[0], reference[0], rtol=0, atol=1e-10)
+        for name, ref in reference[1].items():
+            np.testing.assert_allclose(batched[1][name], ref, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=80, deadline=None)

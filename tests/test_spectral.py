@@ -44,7 +44,8 @@ class TestNormalizedLaplacian:
 
     @pytest.mark.parametrize("lambda_mode", ["power", "fixed2"])
     def test_scaled_is_exactly_symmetric(self, lambda_mode):
-        # autodiff.spmm's backward multiplies by scaled itself in place of its transpose
+        # Chebyshev filters are polynomials of a symmetric operator: the dense
+        # scaled Laplacians the encoder stacks must be symmetric bit for bit
         rng = np.random.default_rng(0)
         for seed in range(10):
             lap = normalized_laplacian(random_view_graph(seed, rois=16, top=seed % 5 + 1), lambda_mode)
