@@ -280,13 +280,13 @@ def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig, prepared: l
     prepared = prepare_views(cohort, cfg) if prepared is None else prepared
     leaves = ad.make_leaves(params)
     return [
-        list(_encode_batch_t(views, leaves, cfg.encoder, _view_names(patient.id, range(len(views)))).data)
+        list(_encode_batch_t(views, leaves, cfg.encoder, [_view_name(patient.id, v) for v in range(len(views))]).data)
         for patient, views in zip(cohort.patients, prepared)
     ]
 
 
-def _view_names(patient_id, view_indices) -> list:
-    return [f"patient {patient_id}, view {v}" for v in view_indices]
+def _view_name(patient_id, view: int) -> str:
+    return f"patient {patient_id}, view {view}"
 
 
 def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared: list | None = None):
@@ -319,11 +319,13 @@ def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared:
             else:
                 chosen = [tuple(rng.choice(cfg.n_views, size=2, replace=False)) for _ in batch]
             leaves = ad.make_leaves(store)
-            views = [prepared[pidx][v] for pidx, pair in zip(batch, chosen) for v in pair]
-            names = [
-                name for pidx, pair in zip(batch, chosen) for name in _view_names(cohort.patients[pidx].id, pair)
-            ]
-            emb = _encode_batch_t(views, leaves, cfg.encoder, names)
+            rows = [(pidx, v) for pidx, pair in zip(batch, chosen) for v in pair]
+            emb = _encode_batch_t(
+                [prepared[pidx][v] for pidx, v in rows],
+                leaves,
+                cfg.encoder,
+                [_view_name(cohort.patients[pidx].id, v) for pidx, v in rows],
+            )
             loss, m_values = _contrastive_loss_t(emb, cfg.encoder.tau)
             loss_val = loss.data.item()
             if not np.isfinite(loss_val):
