@@ -420,6 +420,11 @@ def make_leaves(params: ParamStore) -> dict:
     return {name: Tensor(val) for name, val in params.values.items()}
 
 
+def leaf_grads(leaves: dict) -> dict:
+    """Each leaf's gradient after ``backward``; leaves the loss never touched get zeros."""
+    return {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)) for name, leaf in leaves.items()}
+
+
 def forward_backward(f, params: ParamStore, *inputs):
     """Run f(leaves, *inputs) to a scalar and return (value, per-parameter grads).
 
@@ -432,11 +437,7 @@ def forward_backward(f, params: ParamStore, *inputs):
     if out.data.size != 1:
         raise ValueError(f"non-scalar loss: shape {out.data.shape}")
     backward(out)
-    grads = {
-        name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-        for name, leaf in leaves.items()
-    }
-    return float(out.data.reshape(())), grads
+    return float(out.data.reshape(())), leaf_grads(leaves)
 
 
 def grad_check(f, params: ParamStore, eps: float = 1e-5, samples: int = 30, seed: int = 0) -> float:

@@ -9,7 +9,7 @@ effective configuration is archived next to each run's artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .cohort import MIN_WINDOW_LENGTH, SynthSpec
@@ -32,7 +32,6 @@ class EncoderSettings:
     pool_ratio: float = 0.5
     cheb_k: int = 3
     tau: float = 0.1
-    lambda_mode: str = "power"
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class RunConfig:
         _check(0.0 < enc.pool_ratio <= 1.0, "encoder.pool_ratio", "must be in (0, 1]")
         _check(enc.cheb_k >= 1, "encoder.cheb_k", "must be >= 1")
         _check(enc.tau > 0.0, "encoder.tau", "must be > 0")
-        _check(enc.lambda_mode in ("power", "fixed2"), "encoder.lambda_mode", "must be 'power' or 'fixed2'")
         dgc = self.dgc
         _check(dgc.k >= 1, "dgc.k", "must be >= 1")
         _check(dgc.gamma >= 0.0, "dgc.gamma", "must be >= 0")
@@ -131,6 +129,9 @@ def _check(ok: bool, path: str, message: str) -> None:
 def _build(path: str, factory, payload: dict):
     if not isinstance(payload, dict):
         raise ConfigError(path, "must be an object")
+    unknown = [key for key in payload if key not in {f.name for f in fields(factory)}]
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown config field")
     try:
         return factory(**payload)
     except ConfigError:

@@ -123,7 +123,7 @@ def chebyshev_conv(v: np.ndarray, lap: ScaledLaplacian, thetas) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != lap.n_nodes:
         raise ValueError(f"features must be ({lap.n_nodes}, F), got {v.shape}")
-    basis = _chebyshev_basis(lap.scaled.toarray(), v, len(thetas))
+    basis = _chebyshev_basis(lap.values, v, len(thetas))
     return sum(z @ np.asarray(t, dtype=np.float64) for z, t in zip(basis, thetas))
 
 
@@ -164,7 +164,7 @@ def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) 
         return [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
 
     basis = _chebyshev_basis(
-        np.stack([view.lap.scaled.toarray() for view in views]),
+        np.stack([view.lap.values for view in views]),
         np.stack([view.features for view in views]),
         settings.cheb_k,
     )
@@ -173,12 +173,7 @@ def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) 
     for z, theta in zip(basis[1:], theta1[1:]):
         h = ad.add(h, ad.matmul(z, theta))
     h, kept = _topk_pool_t(ad.relu(h), leaves["block1/pool"], settings.pool_ratio)
-    sub_scaled = np.stack(
-        [
-            induced_laplacian(view.lap, rows, lambda_mode=settings.lambda_mode).scaled.toarray()
-            for view, rows in zip(views, kept)
-        ]
-    )
+    sub_scaled = np.stack([induced_laplacian(view.lap, rows).values for view, rows in zip(views, kept)])
     h = ad.relu(_chebyshev_t(h, sub_scaled, thetas(2)))
     h, _ = _topk_pool_t(h, leaves["block2/pool"], settings.pool_ratio)
     readout = ad.concat([ad.reduce_mean(h, axis=1), ad.reduce_max(h, axis=1)], axis=1)
@@ -196,18 +191,13 @@ def _encode_t(view: PreparedView, leaves: dict, settings: EncoderSettings) -> Te
     return _encode_batch_t([view], leaves, settings)
 
 
-def prepare_view(graph: ViewGraph, settings: EncoderSettings) -> PreparedView:
-    return PreparedView(
-        features=graph.node_features,
-        lap=normalized_laplacian(graph, lambda_mode=settings.lambda_mode),
-    )
+def prepare_view(graph: ViewGraph) -> PreparedView:
+    return PreparedView(features=graph.node_features, lap=normalized_laplacian(graph))
 
 
 def encode(graph: ViewGraph, params: ParamStore, settings: EncoderSettings) -> np.ndarray:
     """Embed one view graph as a unit-length vector of length embed_dim."""
-    view = prepare_view(graph, settings)
-    out = _encode_t(view, ad.make_leaves(params), settings)
-    return out.data.ravel()
+    return _encode_t(prepare_view(graph), ad.make_leaves(params), settings).data.ravel()
 
 
 def similarity_matrix(embeddings: np.ndarray) -> AttractionMatrix:
@@ -268,7 +258,7 @@ def prepare_views(cohort: Cohort, cfg: RunConfig) -> list:
     for i, patient in enumerate(cohort.patients):
         views = slice_views(patient.series, cfg.n_views, cfg.min_window_length)
         graphs = [build_fc_graph(v, pcd[i], cfg.edge_policy) for v in views]
-        prepared.append([prepare_view(g, cfg.encoder) for g in graphs])
+        prepared.append([prepare_view(g) for g in graphs])
     return prepared
 
 
@@ -277,12 +267,21 @@ def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig, prepared: l
 
     ``prepared`` reuses the output of ``prepare_views`` for this cohort and cfg.
     """
-    prepared = prepare_views(cohort, cfg) if prepared is None else prepared
+    prepared = _prepared_for(cohort, cfg, prepared)
     leaves = ad.make_leaves(params)
     return [
         list(_encode_batch_t(views, leaves, cfg.encoder, [_view_name(patient.id, v) for v in range(len(views))]).data)
         for patient, views in zip(cohort.patients, prepared)
     ]
+
+
+def _prepared_for(cohort: Cohort, cfg: RunConfig, prepared: list | None) -> list:
+    """``prepared`` checked to hold one entry per cohort patient, or a fresh ``prepare_views``."""
+    if prepared is None:
+        return prepare_views(cohort, cfg)
+    if len(prepared) != len(cohort.patients):
+        raise ValueError(f"prepared has {len(prepared)} entries but the cohort has {len(cohort.patients)} patients")
+    return prepared
 
 
 def _view_name(patient_id, view: int) -> str:
@@ -303,7 +302,7 @@ def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared:
     if len(train_idx) < 2:
         raise ValueError(f"need >= 2 training patients, found {len(train_idx)}")
 
-    prepared = prepare_views(cohort, cfg) if prepared is None else prepared
+    prepared = _prepared_for(cohort, cfg, prepared)
     in_dim = prepared[0][0].features.shape[1]
     store = init_encoder_params(in_dim, cfg.encoder, seed)
     rng = np.random.default_rng([seed, 1])
@@ -333,11 +332,7 @@ def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared:
                     f"non-finite contrastive loss at epoch {epoch}, batch starting {start}"
                 )
             ad.backward(loss)
-            grads = {
-                name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-                for name, leaf in leaves.items()
-            }
-            store = ad.adam_step(store, grads, cfg.train.cgl_lr)
+            store = ad.adam_step(store, ad.leaf_grads(leaves), cfg.train.cgl_lr)
 
             two_n = m_values.shape[0]
             partner = np.arange(two_n) ^ 1

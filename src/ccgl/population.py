@@ -314,11 +314,7 @@ def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):
         history.append({"epoch": epoch, "loss": loss_val, "val_metric": val_metric})
 
         ad.backward(loss)
-        grads = {
-            name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-            for name, leaf in leaves.items()
-        }
         # release this epoch's tape before the next forward builds another
         del probs, loss
-        store = ad.adam_step(store, grads, cfg.train.dgc_lr)
+        store = ad.adam_step(store, ad.leaf_grads(leaves), cfg.train.dgc_lr)
     return best_store, history

@@ -4,7 +4,8 @@ The normalized Laplacian L = I - D^(-1/2) A D^(-1/2) of a nonnegative
 adjacency has spectrum inside [0, 2]; dividing by its largest eigenvalue
 and shifting maps that spectrum into [-1, 1], the domain on which the
 Chebyshev recursion is stable. View graphs are small (R in the low hundreds
-at most), so the largest eigenvalue comes from one exact dense eigensolve.
+at most), so every matrix is stored dense and the largest eigenvalue comes
+from one exact dense eigensolve.
 """
 
 from __future__ import annotations
@@ -19,83 +20,86 @@ from .connectivity import ViewGraph
 
 @dataclass(frozen=True)
 class ScaledLaplacian:
-    """Normalized Laplacian with its largest eigenvalue and rescaled form.
+    """Rescaled normalized Laplacian ``values`` = 2L/lambda_max - I, stored dense.
 
     ``adjacency`` keeps the absolute edge weights so induced subgraphs can
     rebuild their own Laplacian after pooling; rebuilt subgraphs are memoised
     per kept-index set because pooling selections repeat across forward passes.
     """
 
-    laplacian: sp.csr_matrix
+    values: np.ndarray
+    adjacency: np.ndarray
     lambda_max: float
-    scaled: sp.csr_matrix
-    adjacency: sp.csr_matrix
     _induced_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.laplacian.shape[0]
+        return self.values.shape[0]
+
+    @property
+    def scaled(self) -> sp.csr_matrix:
+        """csr copy of ``values``."""
+        return sp.csr_matrix(self.values)
+
+    @property
+    def laplacian(self) -> sp.csr_matrix:
+        """csr copy of the unscaled normalized Laplacian, rebuilt from ``adjacency``."""
+        return sp.csr_matrix(_normalized(self.adjacency))
 
 
-def _power_iteration(mat) -> float:
-    """Largest eigenvalue of a symmetric matrix, exact, from one dense eigensolve.
+def _power_iteration(mat: np.ndarray) -> float:
+    """Largest eigenvalue of a dense symmetric matrix, exact, from one eigensolve.
 
-    The only place lambda_max is computed, once per uncached Laplacian build.
     The name is kept only because the benchmark counts eigensolves through
     calls to it, until ROADMAP item 14 moves that counter into the program.
     """
-    dense = mat.toarray() if sp.issparse(mat) else mat
-    return float(np.linalg.eigvalsh(dense)[-1])
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def largest_eigenvalue(lap, tol: float = 1e-6) -> float:
     """Exact largest eigenvalue, clamped to (0, 2]; ``tol`` must be positive but is not needed."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    mat = lap if sp.issparse(lap) else np.asarray(lap, dtype=np.float64)
+    mat = lap.toarray() if sp.issparse(lap) else np.asarray(lap, dtype=np.float64)
     return float(min(2.0, max(_power_iteration(mat), 1e-12)))
 
 
-def normalized_laplacian(graph: ViewGraph, lambda_mode: str = "power") -> ScaledLaplacian:
+def normalized_laplacian(graph: ViewGraph) -> ScaledLaplacian:
     """Build L = I - D^(-1/2) A D^(-1/2) from absolute edge weights and rescale it.
 
-    Isolated nodes get an identity row (their D^(-1/2) entry is zero).
-    ``lambda_mode`` "power" rescales by the exact largest eigenvalue (floored
-    at 1 for degenerate graphs); "fixed2" uses the universal bound 2.
+    Isolated nodes get an identity row (their D^(-1/2) entry is zero). The
+    rescaling divides by the exact largest eigenvalue, floored at 1 for
+    degenerate graphs and capped at 2.
     """
-    return _build(np.abs(graph.weights), lambda_mode)
+    return _build(np.abs(graph.weights))
 
 
-def induced_laplacian(lap: ScaledLaplacian, kept, lambda_mode: str = "power") -> ScaledLaplacian:
+def induced_laplacian(lap: ScaledLaplacian, kept) -> ScaledLaplacian:
     """Rebuild the Laplacian of the subgraph induced on the kept node indices."""
     kept = np.asarray(kept, dtype=np.int64)
-    key = (tuple(kept.tolist()), lambda_mode)
-    hit = lap._induced_cache.get(key)
-    if hit is not None:
-        return hit
-    out = _build(lap.adjacency.toarray()[np.ix_(kept, kept)], lambda_mode)
-    lap._induced_cache[key] = out
-    return out
+    key = tuple(kept.tolist())
+    if key not in lap._induced_cache:
+        lap._induced_cache[key] = _build(lap.adjacency[np.ix_(kept, kept)])
+    return lap._induced_cache[key]
 
 
-def _build(dense: np.ndarray, lambda_mode: str) -> ScaledLaplacian:
-    """Scaled Laplacian of a dense nonnegative adjacency; every stored field is csr.
+def _normalized(adjacency: np.ndarray) -> np.ndarray:
+    """Dense I - D^(-1/2) A D^(-1/2), symmetrised so it is symmetric bit for bit.
 
-    Degrees are the csr row sums, which fix the summation order the stored
-    matrices have always been built with.
+    Degrees sum each row's nonzeros by ``np.add.reduceat``, as a csr row sum
+    does; a dense row sum can round differently in the last bit.
     """
-    adjacency = sp.csr_matrix(dense)
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    counts = np.count_nonzero(adjacency, axis=1)
+    degrees = np.zeros(adjacency.shape[0])
+    degrees[counts > 0] = np.add.reduceat(adjacency[adjacency != 0], (np.cumsum(counts) - counts)[counts > 0])
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    sym = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
-    identity = np.eye(dense.shape[0])
-    lap = identity - (sym + sym.T) * 0.5
-    if lambda_mode == "fixed2":
-        lam, scaled = 2.0, lap - identity
-    elif lambda_mode == "power":
-        lam = min(2.0, max(_power_iteration(lap), 1.0))
-        scaled = (2.0 / lam) * lap - identity
-    else:
-        raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    return ScaledLaplacian(laplacian=sp.csr_matrix(lap), lambda_max=lam, scaled=sp.csr_matrix(scaled), adjacency=adjacency)
+    sym = inv_sqrt[:, None] * adjacency * inv_sqrt[None, :]
+    return np.eye(adjacency.shape[0]) - (sym + sym.T) * 0.5
+
+
+def _build(adjacency: np.ndarray) -> ScaledLaplacian:
+    """Scaled Laplacian of a dense nonnegative adjacency."""
+    lap = _normalized(adjacency)
+    lam = min(2.0, max(_power_iteration(lap), 1.0))
+    return ScaledLaplacian(values=(2.0 / lam) * lap - np.eye(lap.shape[0]), adjacency=adjacency, lambda_max=lam)

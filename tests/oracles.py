@@ -132,7 +132,7 @@ def chebyshev_t(v: Tensor, scaled_lap, thetas) -> Tensor:
     return out
 
 
-def topk_pool_t(v: Tensor, lap, score_vec: Tensor, ratio: float, lambda_mode: str = "power"):
+def topk_pool_t(v: Tensor, lap, score_vec: Tensor, ratio: float):
     """Keep the ceil(ratio * R) best-scoring nodes, gate features by tanh(score).
 
     Node selection is structural (no gradient through the ranking); the
@@ -146,7 +146,7 @@ def topk_pool_t(v: Tensor, lap, score_vec: Tensor, ratio: float, lambda_mode: st
     order = np.argsort(-flat, kind="stable")
     kept = np.sort(order[:n_keep])
     gated = ad.mul(ad.gather_rows(v, kept), ad.tanh(ad.gather_rows(scores, kept)))
-    sub_lap = spectral.induced_laplacian(lap, kept, lambda_mode=lambda_mode)
+    sub_lap = spectral.induced_laplacian(lap, kept)
     return gated, sub_lap, kept
 
 
@@ -157,9 +157,7 @@ def encode_t(view, leaves: dict, settings) -> Tensor:
     for block in (1, 2):
         thetas = [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
         v = ad.relu(chebyshev_t(v, lap.scaled, thetas))
-        v, lap, _ = topk_pool_t(
-            v, lap, leaves[f"block{block}/pool"], settings.pool_ratio, settings.lambda_mode
-        )
+        v, lap, _ = topk_pool_t(v, lap, leaves[f"block{block}/pool"], settings.pool_ratio)
     readout = ad.concat(
         [ad.reduce_mean(v, axis=0, keepdims=True), ad.reduce_max(v, axis=0, keepdims=True)],
         axis=1,
@@ -244,7 +242,7 @@ def scipy_scaled_laplacian(adjacency: sp.csr_matrix):
     sym = d_half @ adjacency @ d_half
     sym = (sym + sym.T) * 0.5
     lap = (sp.identity(adjacency.shape[0], format="csr") - sym).tocsr()
-    lam = min(2.0, max(spectral._power_iteration(lap), 1.0))
+    lam = min(2.0, max(spectral._power_iteration(lap.toarray()), 1.0))
     scaled = (2.0 / lam) * lap - sp.identity(lap.shape[0], format="csr")
     return lap, lam, scaled.tocsr()
 

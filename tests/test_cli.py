@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery"):
             config_from_dict(doc)
 
+    def test_removed_lambda_mode_names_its_path(self):
+        doc = tiny_config_dict("x")
+        doc["encoder"]["lambda_mode"] = "power"
+        with pytest.raises(ConfigError, match=r"^encoder\.lambda_mode: unknown config field"):
+            config_from_dict(doc)
+
     def test_requires_exactly_one_data_source(self):
         doc = tiny_config_dict("x")
         del doc["data"]

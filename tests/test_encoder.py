@@ -274,6 +274,23 @@ class TestZeroNormEmbedding:
             encoder.embed_cohort(cohort, params, cfg, prepared=prepared)
 
 
+class TestPreparedLength:
+    def test_embed_cohort_rejects_short_prepared(self):
+        cfg = tiny_config()
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        prepared = prepare_views(cohort, cfg)
+        params = init_encoder_params(prepared[0][0].features.shape[1], cfg.encoder, seed=0)
+        with pytest.raises(ValueError, match="prepared has 7 entries but the cohort has 8 patients"):
+            encoder.embed_cohort(cohort, params, cfg, prepared=prepared[:-1])
+
+    def test_train_cgl_rejects_long_prepared(self):
+        cfg = tiny_config()
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        prepared = prepare_views(cohort, cfg)
+        with pytest.raises(ValueError, match="prepared has 9 entries but the cohort has 8 patients"):
+            train_cgl(cohort, cfg, seed=0, prepared=prepared + prepared[:1])
+
+
 class TestTrainCgl:
     def test_zero_lr_constant_history(self):
         cfg = tiny_config(train=TrainSettings(cgl_epochs=3, dgc_epochs=1, cgl_lr=0.0))
