@@ -1,6 +1,7 @@
 """Run the five pipeline stages of desk_config() at one seed and report them.
 
     PYTHONPATH=src python3 scripts/desk_stages.py --seed 97 --out runs/desk-stages
+    PYTHONPATH=src python3 scripts/desk_stages.py --seed 97 --out runs/desk-stages --against before.json
 
 The desk benchmark workload always runs seed 0; this script runs any seed
 directly, stage by stage, with BLAS pinned to one thread as the benchmark
@@ -8,6 +9,10 @@ does. It prints one JSON object: wall time per stage, the run's test AUC and
 KNN-baseline AUC, and the sha256 of every artifact in the seed directory
 (``effective_config.json`` and ``series.npz`` hold the output path, so
 compare those two only between runs with the same ``--out``).
+
+With ``--against PREVIOUS.json`` (an object this script printed earlier), it
+also names on stderr every artifact whose hash differs from that run's, or
+that only one run has, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ os.environ.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREA
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 from ccgl import pipeline  # noqa: E402
 from ccgl.config import desk_config  # noqa: E402
@@ -31,7 +38,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
+    parser.add_argument("--against", help="JSON printed by an earlier run to compare sha256 hashes with")
     args = parser.parse_args()
+    previous = json.loads(Path(args.against).read_text()) if args.against else None
+    if previous is not None and previous["seed"] != args.seed:
+        parser.error(f"--against holds seed {previous['seed']}, not {args.seed}")
 
     cfg = desk_config().with_seed(args.seed).with_out_dir(args.out)
     times = {}
@@ -59,6 +70,19 @@ def main() -> None:
             sort_keys=True,
         )
     )
+    if previous is not None:
+        sys.exit(compare(previous["sha256"], hashes, args.against))
+
+
+def compare(before: dict, after: dict, label: str) -> int:
+    """Name on stderr each artifact whose hash differs between two runs; 1 if any does."""
+    names = sorted(before.keys() | after.keys())
+    differ = [name for name in names if before.get(name) != after.get(name)]
+    for name in differ:
+        where = "differs" if name in before and name in after else "only in " + ("this run" if name in after else label)
+        print(f"{name}: {where}", file=sys.stderr)
+    print(f"{len(differ)} of {len(names)} artifacts differ from {label}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

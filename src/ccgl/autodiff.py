@@ -321,49 +321,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def gather_rows(a, index) -> Tensor:
+def take(a, index) -> Tensor:
+    """a[index] on the tape, for an integer array or a tuple of them on a's leading axes.
+
+    The backward adds each pick's gradient in one bincount over flat
+    positions, so repeated indices accumulate in the order they were picked.
+    """
     a = _as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
+    index = tuple(np.asarray(i, dtype=np.int64) for i in (index if isinstance(index, tuple) else (index,)))
     out = Tensor(a.data[index], (a,))
 
     def vjp(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, index, g)
-        return (grad,)
-
-    out._vjp = vjp
-    return out
-
-
-def take_pairs(a, rows, cols) -> Tensor:
-    """Pick a[rows[k], cols[k]] for each k, as a 1-D tensor."""
-    a = _as_tensor(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(a.data[rows, cols], (a,))
-
-    def vjp(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, (rows, cols), g)
-        return (grad,)
-
-    out._vjp = vjp
-    return out
-
-
-def take_along_axis(a, index, axis: int) -> Tensor:
-    """np.take_along_axis on the tape; index must not repeat along axis.
-
-    Unique indices make the backward one scatter with no accumulation.
-    """
-    a = _as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
-    out = Tensor(np.take_along_axis(a.data, index, axis=axis), (a,))
-
-    def vjp(g):
-        grad = np.zeros_like(a.data)
-        np.put_along_axis(grad, index, g, axis=axis)
-        return (grad,)
+        width = math.prod(a.data.shape[len(index):])
+        # "wrap" reads a negative index as a.data[index] did; the forward rejected any out of range
+        rows = np.ravel_multi_index(index, a.data.shape[: len(index)], mode="wrap")
+        flat = (rows[..., None] * width + np.arange(width)).ravel()
+        return (np.bincount(flat, weights=g.ravel(), minlength=a.data.size).reshape(a.data.shape),)
 
     out._vjp = vjp
     return out

@@ -113,7 +113,7 @@ class SynthSpec:
     n_timepoints: int
     n_sites: int = 3
     class_ratio: float = 0.5
-    subtypes_per_class: tuple = (2, 2)
+    subtypes_per_class: tuple[int, ...] = (2, 2)
     noise_level: float = 0.5
 
     def __post_init__(self):
@@ -158,21 +158,30 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
     if not _is_json_int(roi_count) or roi_count < 2:
         raise ValueError(f"manifest {manifest_path}: field 'roi_count' must be an integer >= 2, got {roi_count!r}")
     entries = manifest["patients"]
+    if not isinstance(entries, list):
+        raise ValueError(f"manifest {manifest_path}: field 'patients' must be a JSON list, got {entries!r}")
     if not entries:
         raise ValueError("empty cohort")
 
     patients = []
     seen = set()
     for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest entry {pos}: must be a JSON object, got {entry!r}")
         pid = entry.get("id")
         if pid is None:
             raise ValueError(f"manifest entry {pos}: missing id")
+        if not isinstance(pid, str):
+            raise ValueError(f"manifest entry {pos}: field 'id' must be a JSON string, got {pid!r}")
         if pid in seen:
             raise ValueError(f"duplicate patient id {pid!r} (manifest entry {pos})")
         seen.add(pid)
         missing = [key for key in ("csv", "pcd", "label", "site") if key not in entry]
         if missing:
             raise ValueError(f"patient {pid!r} (entry {pos}): missing field {missing[0]!r}")
+        for key in ("csv", "site"):
+            if not isinstance(entry[key], str):
+                raise ValueError(f"patient {pid!r} (entry {pos}): field {key!r} must be a JSON string, got {entry[key]!r}")
         label = entry["label"]
         if not _is_json_int(label) or label not in (0, 1):
             raise ValueError(f"patient {pid!r} (entry {pos}): field 'label' must be the integer 0 or 1, got {label!r}")
@@ -195,11 +204,11 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
             )
         patients.append(
             PatientRecord(
-                id=str(pid),
+                id=pid,
                 series=RoiTimeSeries(values),
                 pcd=np.asarray(pcd, dtype=np.float64),
                 label=label,
-                site=str(entry["site"]),
+                site=entry["site"],
             )
         )
     return Cohort(patients=tuple(patients), roi_count=roi_count)

@@ -9,8 +9,9 @@ effective configuration is archived next to each run's artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .cohort import MIN_WINDOW_LENGTH, SynthSpec
 from .connectivity import EdgePolicy
@@ -62,8 +63,8 @@ class RunConfig:
     encoder: EncoderSettings = field(default_factory=EncoderSettings)
     dgc: DgcSettings = field(default_factory=DgcSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
-    split_ratios: tuple = (0.7, 0.1, 0.2)
-    seeds: tuple = (0, 1, 2, 3, 4)
+    split_ratios: tuple[float, ...] = (0.7, 0.1, 0.2)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     out_dir: str = "runs/default"
 
     def __post_init__(self):
@@ -126,18 +127,50 @@ def _check(ok: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _build(path: str, factory, payload: dict):
+_KINDS = {int: "integer", float: "number", str: "string"}
+
+
+def _is_kind(kind, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _typed(path: str, hint, value):
+    """value checked against its field's annotated type; a dataclass field is built from its object."""
+    if is_dataclass(hint):
+        return _build(path, hint, value)
+    if get_origin(hint) is tuple:
+        kind = get_args(hint)[0]
+        if not isinstance(value, list) or not all(_is_kind(kind, v) for v in value):
+            raise ConfigError(path, f"must be a list of JSON {_KINDS[kind]}s, got {value!r}")
+    elif not _is_kind(hint, value):
+        raise ConfigError(path, f"must be a JSON {_KINDS[hint]}, got {value!r}")
+    return value
+
+
+def _kwargs(path: str, factory, payload, skip=()) -> dict:
+    """Keyword arguments for ``factory`` from a JSON object, each value type-checked."""
     if not isinstance(payload, dict):
         raise ConfigError(path, "must be an object")
-    unknown = [key for key in payload if key not in {f.name for f in fields(factory)}]
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown config field")
+    hints = get_type_hints(factory)
+    kwargs = {}
+    for key, value in payload.items():
+        where = f"{path}.{key}" if path else key
+        if key not in hints or key in skip:
+            raise ConfigError(where, "unknown config field")
+        kwargs[key] = _typed(where, hints[key], value)
+    return kwargs
+
+
+def _build(path: str, factory, payload):
+    kwargs = _kwargs(path, factory, payload)
     try:
-        return factory(**payload)
+        return factory(**kwargs)
     except ConfigError:
         raise
     except TypeError as exc:
-        raise ConfigError(path, f"unexpected or missing field ({exc})") from exc
+        raise ConfigError(path, f"missing field ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -153,31 +186,13 @@ def config_from_dict(doc: dict) -> RunConfig:
         if not isinstance(data, dict) or len(data) != 1:
             raise ConfigError("data", "must be an object with exactly one of 'manifest' or 'synth'")
         if "manifest" in data:
-            manifest = str(data["manifest"])
+            manifest = _typed("data.manifest", str, data["manifest"])
         elif "synth" in data:
             synth = _build("data.synth", SynthSpec, data["synth"])
         else:
             raise ConfigError("data", "must contain 'manifest' or 'synth'")
-    kwargs = {}
-    for key, path, factory in (
-        ("edge_policy", "edge_policy", EdgePolicy),
-        ("encoder", "encoder", EncoderSettings),
-        ("dgc", "dgc", DgcSettings),
-        ("train", "train", TrainSettings),
-    ):
-        if key in doc:
-            kwargs[key] = _build(path, factory, doc.pop(key))
-    for key in ("n_views", "min_window_length", "split_ratios", "seeds", "out_dir"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
-    if doc:
-        raise ConfigError(next(iter(doc)), "unknown config field")
-    try:
-        return RunConfig(manifest=manifest, synth=synth, **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("", str(exc)) from exc
+    # the data source is given only through the "data" block
+    return RunConfig(manifest=manifest, synth=synth, **_kwargs("", RunConfig, doc, skip=("manifest", "synth")))
 
 
 def load_config(path) -> RunConfig:

@@ -140,8 +140,8 @@ def _topk_pool_t(v: Tensor, score_vec: Tensor, ratio: float):
     n_keep = max(1, int(math.ceil(ratio * v.shape[1])))
     order = np.argsort(-scores.data[..., 0], axis=1, kind="stable")
     kept = np.sort(order[:, :n_keep], axis=1)
-    index = kept[..., None]
-    gated = ad.mul(ad.take_along_axis(v, index, axis=1), ad.tanh(ad.take_along_axis(scores, index, axis=1)))
+    index = (np.arange(kept.shape[0])[:, None], kept)
+    gated = ad.mul(ad.take(v, index), ad.tanh(ad.take(scores, index)))
     return gated, kept
 
 
@@ -234,7 +234,7 @@ def _pair_loss_t(m: Tensor, partner: np.ndarray, tau: float) -> Tensor:
     shift = np.where(mask > 0, z.data, -np.inf).max(axis=1, keepdims=True)
     e = ad.mul(ad.exp(ad.sub(z, shift)), mask)
     log_denom = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift.ravel())
-    num = ad.take_pairs(z, np.arange(two_n), partner)
+    num = ad.take(z, (np.arange(two_n), partner))
     return ad.reduce_mean(ad.sub(log_denom, num))
 
 

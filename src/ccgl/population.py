@@ -175,12 +175,12 @@ def _edge_conv_t(
     k = _out_degree(edges, n)
     w1 = leaves[f"{prefix}/w1"]
     w2, b2 = leaves[f"{prefix}/w2"], leaves[f"{prefix}/b2"]
-    w_nbr = ad.gather_rows(w1, np.arange(d, 2 * d))
-    w_self = ad.sub(ad.gather_rows(w1, np.arange(d)), w_nbr)
+    w_nbr = ad.take(w1, np.arange(d, 2 * d))
+    w_self = ad.sub(ad.take(w1, np.arange(d)), w_nbr)
     a = ad.add(ad.matmul(x, w_self), leaves[f"{prefix}/b1"])
     b = ad.matmul(x, w_nbr)
     hidden = a.data.shape[1]
-    nbr = ad.reshape(ad.gather_rows(b, edges[:, 1]), (n, k, hidden))
+    nbr = ad.reshape(ad.take(b, edges[:, 1]), (n, k, hidden))
     h = ad.relu(ad.add(ad.reshape(a, (n, 1, hidden)), nbr))
     if aggregation == "sum":
         # the sum over neighbours commutes with the second linear layer
@@ -264,7 +264,7 @@ def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings 
 
 def _focal_batch_t(probs: Tensor, labels: np.ndarray, mask: np.ndarray, gamma: float) -> Tensor:
     rows = np.flatnonzero(mask)
-    pt = ad.take_pairs(probs, rows, labels[rows])
+    pt = ad.take(probs, (rows, labels[rows]))
     pt = ad.clamp_min(pt, PROB_FLOOR)
     return ad.reduce_mean(ad.mul(ad.power(ad.sub(1.0, pt), gamma), ad.neg(ad.log(pt))))
 

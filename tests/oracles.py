@@ -67,6 +67,58 @@ def segment_max(a, segments, n_segments: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# gathers on the tape, one primitive per indexing pattern
+# ---------------------------------------------------------------------------
+
+def gather_rows(a, index) -> Tensor:
+    a = ad._as_tensor(a)
+    index = np.asarray(index, dtype=np.int64)
+    out = Tensor(a.data[index], (a,))
+
+    def vjp(g):
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, index, g)
+        return (grad,)
+
+    out._vjp = vjp
+    return out
+
+
+def take_pairs(a, rows, cols) -> Tensor:
+    """Pick a[rows[k], cols[k]] for each k, as a 1-D tensor."""
+    a = ad._as_tensor(a)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    out = Tensor(a.data[rows, cols], (a,))
+
+    def vjp(g):
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, (rows, cols), g)
+        return (grad,)
+
+    out._vjp = vjp
+    return out
+
+
+def take_along_axis(a, index, axis: int) -> Tensor:
+    """np.take_along_axis on the tape; index must not repeat along axis.
+
+    Unique indices make the backward one scatter with no accumulation.
+    """
+    a = ad._as_tensor(a)
+    index = np.asarray(index, dtype=np.int64)
+    out = Tensor(np.take_along_axis(a.data, index, axis=axis), (a,))
+
+    def vjp(g):
+        grad = np.zeros_like(a.data)
+        np.put_along_axis(grad, index, g, axis=axis)
+        return (grad,)
+
+    out._vjp = vjp
+    return out
+
+
+# ---------------------------------------------------------------------------
 # per-edge EdgeConv
 # ---------------------------------------------------------------------------
 
@@ -89,8 +141,8 @@ def edge_conv_t(
     counts = np.bincount(src, minlength=n)
     if np.any(counts == 0):
         raise ValueError(f"isolated node {int(np.flatnonzero(counts == 0)[0])}")
-    h_src = ad.gather_rows(x, src)
-    h_dst = ad.gather_rows(x, dst)
+    h_src = gather_rows(x, src)
+    h_dst = gather_rows(x, dst)
     messages = _phi_t(ad.concat([h_src, ad.sub(h_dst, h_src)], axis=1), leaves, prefix)
     if aggregation == "sum":
         return segment_sum(messages, src, n)
@@ -145,7 +197,7 @@ def topk_pool_t(v: Tensor, lap, score_vec: Tensor, ratio: float):
     n_keep = max(1, int(math.ceil(ratio * flat.size)))
     order = np.argsort(-flat, kind="stable")
     kept = np.sort(order[:n_keep])
-    gated = ad.mul(ad.gather_rows(v, kept), ad.tanh(ad.gather_rows(scores, kept)))
+    gated = ad.mul(gather_rows(v, kept), ad.tanh(gather_rows(scores, kept)))
     sub_lap = spectral.induced_laplacian(lap, kept)
     return gated, sub_lap, kept
 

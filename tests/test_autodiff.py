@@ -78,12 +78,27 @@ class TestGradCheck:
             h = ad.reduce_sum(ad.matmul(s, h), axis=0)
             e = ad.exp(ad.mul(h, 0.2))
             q = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
-            picked = ad.take_pairs(q, np.array([0, 2]), np.array([1, 0]))
+            picked = ad.take(q, (np.array([0, 2]), np.array([1, 0])))
             pooled = ad.reduce_sum(ad.reshape(ad.power(h, 2.0), (5, 3, 1)), axis=1)
             top = ad.reduce_max(ad.sqrt(ad.add(pooled, 1.0)), axis=0)
             return ad.add(ad.reduce_sum(ad.log(ad.clamp_min(picked, 1e-9))), ad.reduce_mean(top))
 
         assert ad.grad_check(f, store, eps=1e-5, samples=15, seed=2) < 1e-6
+
+    def test_take_with_repeated_and_batched_indices(self):
+        rng = np.random.default_rng(3)
+        store = make_store(W=rng.standard_normal((4, 3)), V=rng.standard_normal((2, 5, 3)))
+
+        def f(leaves):
+            rows = ad.take(leaves["W"], np.array([2, 0, 2, 2]))
+            pairs = ad.take(leaves["W"], (np.array([1, 1, 3]), np.array([0, 0, 2])))
+            kept = ad.take(leaves["V"], (np.arange(2)[:, None], np.array([[0, 4], [1, 3]])))
+            return ad.add(
+                ad.add(ad.reduce_sum(ad.tanh(rows)), ad.reduce_sum(ad.power(pairs, 3.0))),
+                ad.reduce_sum(ad.mul(kept, kept)),
+            )
+
+        assert ad.grad_check(f, store, eps=1e-5, samples=30, seed=4) < 1e-6
 
     def test_eps_bounds(self):
         store = make_store(w=np.ones(2))
@@ -105,7 +120,7 @@ class TestPrimitives:
     def test_concat_and_gather_roundtrip(self):
         a, b = Tensor(np.arange(6.0).reshape(3, 2)), Tensor(np.arange(4.0).reshape(2, 2))
         joined = ad.concat([a, b], axis=0)
-        picked = ad.gather_rows(joined, np.array([4, 0]))
+        picked = ad.take(joined, np.array([4, 0]))
         loss = ad.reduce_sum(ad.mul(picked, picked))
         ad.backward(loss)
         assert a.grad is not None and b.grad is not None
@@ -114,7 +129,7 @@ class TestPrimitives:
     def test_take_along_axis_scatters_back(self):
         x = Tensor(np.arange(24.0).reshape(2, 4, 3))
         index = np.array([[0, 3], [2, 1]])[..., None]
-        picked = ad.take_along_axis(x, index, axis=1)
+        picked = ad.take(x, (np.arange(2)[:, None], index[..., 0]))
         assert np.array_equal(picked.data, np.take_along_axis(x.data, index, axis=1))
         ad.backward(ad.reduce_sum(ad.mul(picked, picked)))
         expected = np.zeros((2, 4, 3))

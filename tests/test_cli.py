@@ -73,6 +73,45 @@ class TestConfig:
         again = load_config(path)
         assert again.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("encoder.hidden1", "x"),
+            ("encoder.hidden1", True),
+            ("n_views", "2"),
+            ("seeds", "ab"),
+            ("seeds", [0, 1.5]),
+            ("split_ratios", 5),
+            ("split_ratios", [0.7, True, 0.2]),
+            ("train.cgl_lr", None),
+            ("data.synth.n_patients", "a"),
+            ("data.synth.subtypes_per_class", [2, "2"]),
+            ("edge_policy.per_node_top", "3"),
+            ("dgc.k", 2.5),
+            ("dgc.aggregation", 1),
+            ("out_dir", 3),
+            ("data.manifest", 5),
+        ],
+    )
+    def test_wrong_type_names_its_path(self, path, value):
+        doc = tiny_config_dict("x")
+        *parents, key = path.split(".")
+        block = doc
+        for name in parents:
+            block = block.setdefault(name, {})
+        if path == "data.manifest":
+            del doc["data"]["synth"]
+        block[key] = value
+        with pytest.raises(ConfigError, match=rf"^{path}: must be a (JSON|list of JSON) "):
+            config_from_dict(doc)
+
+    def test_float_fields_take_integers(self):
+        doc = tiny_config_dict("x")
+        doc["train"]["cgl_lr"] = 0
+        doc["split_ratios"] = [1, 0, 0]
+        cfg = config_from_dict(doc)
+        assert cfg.train.cgl_lr == 0 and cfg.split_ratios == (1.0, 0.0, 0.0)
+
     def test_synth_validation_path(self):
         doc = tiny_config_dict("x")
         doc["data"]["synth"]["n_patients"] = 2

@@ -102,6 +102,40 @@ class TestLoadCohort:
         with pytest.raises(ValueError, match=r"field 'roi_count' must be an integer >= 2"):
             load_cohort(manifest)
 
+    @pytest.mark.parametrize(
+        "patients, named",
+        [
+            ({"p0": {}}, r"field 'patients' must be a JSON list, got \{'p0': \{\}\}"),
+            (["p0"], r"manifest entry 0: must be a JSON object, got 'p0'"),
+        ],
+        ids=["object", "string_entry"],
+    )
+    def test_patients_must_be_a_list_of_objects(self, manifest_dir, patients, named):
+        manifest = manifest_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["patients"] = patients
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=named):
+            load_cohort(manifest)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("id", 3, r"manifest entry 1: field 'id' must be a JSON string, got 3"),
+            ("site", 3, r"patient 'p1' \(entry 1\): field 'site' must be a JSON string, got 3"),
+            ("site", None, r"patient 'p1' \(entry 1\): field 'site' must be a JSON string, got None"),
+            ("csv", ["p1.csv"], r"patient 'p1' \(entry 1\): field 'csv' must be a JSON string, got \['p1.csv'\]"),
+        ],
+        ids=["numeric_id", "numeric_site", "null_site", "list_csv"],
+    )
+    def test_id_csv_and_site_must_be_strings(self, manifest_dir, field, value, named):
+        manifest = manifest_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["patients"][1][field] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=named):
+            load_cohort(manifest)
+
     def test_missing_field_named(self, manifest_dir):
         manifest = manifest_dir / "manifest.json"
         doc = json.loads(manifest.read_text())

@@ -49,6 +49,43 @@ class TestPrimitives:
 
 
 @st.composite
+def gather_cases(draw):
+    """(a, index, oracle): an ad.take index and the replaced primitive that makes the same pick."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rows", "pairs", "batch_rows"]))
+    n_picks = draw(st.integers(0, 12))  # zero picks is an empty index; more picks than rows repeat
+    # rows and pairs also take negative indices, counted from the end as numpy does
+    if kind == "rows":
+        a = rng.standard_normal((draw(st.integers(1, 6)), draw(st.integers(1, 4))))
+        rows = rng.integers(-a.shape[0], a.shape[0], n_picks)
+        return a, rows, lambda t: oracles.gather_rows(t, rows)
+    if kind == "pairs":
+        a = rng.standard_normal((draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+        rows, cols = rng.integers(-a.shape[0], a.shape[0], n_picks), rng.integers(-a.shape[1], a.shape[1], n_picks)
+        return a, (rows, cols), lambda t: oracles.take_pairs(t, rows, cols)
+    b, r = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    a = rng.standard_normal((b, r, draw(st.integers(1, 3))))
+    kept = np.sort(np.argsort(rng.random((b, r)), axis=1)[:, : draw(st.integers(0, r))], axis=1)
+    return a, (np.arange(b)[:, None], kept), lambda t: oracles.take_along_axis(t, kept[..., None], axis=1)
+
+
+class TestTakeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=gather_cases(), seed=st.integers(0, 999))
+    def test_forward_and_backward_match_replaced_primitives(self, case, seed):
+        a, index, oracle = case
+        x, x_ref = Tensor(a), Tensor(a)
+        out, ref = ad.take(x, index), oracle(x_ref)
+        assert out.shape == ref.shape and np.array_equal(out.data, ref.data)
+        # magnitudes that differ by up to 16 decades make the sum depend on accumulation order
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 9, out.shape)
+        ad.backward(ad.reduce_sum(ad.mul(out, g)))
+        ad.backward(ad.reduce_sum(ad.mul(ref, g)))
+        assert np.array_equal(x.grad, x_ref.grad)
+
+
+@st.composite
 def point_sets(draw, max_p=40):
     """(features, k): P in [2, max_p], k in [1, P-1], with duplicate rows and grid ties."""
     p = draw(st.integers(2, max_p))

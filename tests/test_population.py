@@ -181,7 +181,7 @@ class TestEdgeConv:
         leaves = {f"phi/{k}": ad.Tensor(v) for k, v in projection_phi(1).items()}
         out = _edge_conv_t(x, knn_edges(x.data, 2), leaves, "phi", "max")
         assert out.data[0, 0] == 1.0
-        ad.backward(ad.reduce_sum(ad.gather_rows(out, np.array([0]))))
+        ad.backward(ad.reduce_sum(ad.take(out, np.array([0]))))
         assert np.array_equal(x.grad, np.array([[-1.0], [1.0], [0.0]]))
 
 
