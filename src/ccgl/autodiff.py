@@ -265,7 +265,8 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        # a read-only view: backward copies a piece before it keeps it
+        return (np.broadcast_to(g, a.data.shape),)
 
     out._vjp = vjp
     return out
@@ -279,7 +280,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy() / count,)
+        return (np.broadcast_to(g, a.data.shape) / count,)
 
     out._vjp = vjp
     return out
@@ -330,13 +331,48 @@ def take(a, index) -> Tensor:
     a = _as_tensor(a)
     index = tuple(np.asarray(i, dtype=np.int64) for i in (index if isinstance(index, tuple) else (index,)))
     out = Tensor(a.data[index], (a,))
+    out._vjp = lambda g: (_scatter_add(g, index, a.data.shape),)
+    return out
+
+
+def _scatter_add(g: np.ndarray, index: tuple, shape) -> np.ndarray:
+    """The gradient of ``x[index]`` for x of ``shape``: each pick's slice of g added back where it came from.
+
+    One bincount over flat element positions adds repeated picks in the
+    order they were made, which is the order ``np.add.at`` uses.
+    """
+    width = math.prod(shape[len(index):])
+    # "wrap" reads a negative index as the forward's indexing did; that rejected any out of range
+    rows = np.ravel_multi_index(index, shape[: len(index)], mode="wrap")
+    flat = (rows[..., None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
+def edge_relu(a, b, nbr) -> Tensor:
+    """relu(a[i] + b[nbr[i, j]]) as an (n, k, H) tensor, for a (n, H), b (m, H) and integer nbr (n, k).
+
+    The fused form of gathering neighbour rows, adding each node's own row
+    and applying relu: only the (n, k, H) output is kept, and the backward
+    gives the same bits as that chain of primitives.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    nbr = np.asarray(nbr, dtype=np.int64)
+    if (
+        a.data.ndim != 2
+        or b.data.ndim != 2
+        or nbr.ndim != 2
+        or a.data.shape[1] != b.data.shape[1]
+        or nbr.shape[0] != a.data.shape[0]
+    ):
+        raise ValueError(f"edge_relu shape mismatch: a {a.data.shape}, b {b.data.shape}, nbr {nbr.shape}")
+    val = np.take(b.data, nbr, axis=0)
+    val += a.data[:, None, :]
+    np.maximum(val, 0.0, out=val)
+    out = Tensor(val, (a, b))
 
     def vjp(g):
-        width = math.prod(a.data.shape[len(index):])
-        # "wrap" reads a negative index as a.data[index] did; the forward rejected any out of range
-        rows = np.ravel_multi_index(index, a.data.shape[: len(index)], mode="wrap")
-        flat = (rows[..., None] * width + np.arange(width)).ravel()
-        return (np.bincount(flat, weights=g.ravel(), minlength=a.data.size).reshape(a.data.shape),)
+        gm = g * (val > 0.0)
+        return gm.sum(axis=1), _scatter_add(gm, (nbr,), b.data.shape)
 
     out._vjp = vjp
     return out

@@ -104,6 +104,24 @@ class Cohort:
         return np.array([p.label for p in self.patients], dtype=np.int64)
 
 
+def number_tuple(values, kind: type) -> tuple:
+    """``values`` as a tuple of ``kind`` (int or float), refusing what that would change.
+
+    A boolean, a non-number and, for int, a number that is not an integer
+    raise ValueError rather than being converted.
+    """
+    # concrete types, not the numbers ABCs, whose isinstance is several times slower
+    wanted, noun = ((int, np.integer), "integers") if kind is int else ((int, float, np.integer, np.floating), "numbers")
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValueError(f"must be a sequence of {noun}, got {values!r}") from None
+    for value in items:
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ValueError(f"must hold {noun}, got {value!r}")
+    return tuple(kind(value) for value in items)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the synthetic cohort generator."""
@@ -117,7 +135,10 @@ class SynthSpec:
     noise_level: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "subtypes_per_class", tuple(int(s) for s in self.subtypes_per_class))
+        try:
+            object.__setattr__(self, "subtypes_per_class", number_tuple(self.subtypes_per_class, int))
+        except ValueError as exc:
+            raise ValueError(f"subtypes_per_class {exc}") from None
         if self.n_patients < 4:
             raise ValueError(f"n_patients must be >= 4, got {self.n_patients}")
         if self.n_rois < 2:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .cohort import MIN_WINDOW_LENGTH, SynthSpec
+from .cohort import MIN_WINDOW_LENGTH, SynthSpec, number_tuple
 from .connectivity import EdgePolicy
 
 
@@ -68,8 +68,11 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        object.__setattr__(self, "split_ratios", tuple(float(r) for r in self.split_ratios))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name, kind in (("split_ratios", float), ("seeds", int)):
+            try:
+                object.__setattr__(self, name, number_tuple(getattr(self, name), kind))
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from None
         if (self.manifest is None) == (self.synth is None):
             raise ConfigError("data", "exactly one of 'manifest' or 'synth' must be given")
         _check(self.n_views >= 2, "n_views", "must be >= 2")
@@ -116,7 +119,7 @@ class RunConfig:
         return out
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seeds=(int(seed),))
+        return replace(self, seeds=(seed,))
 
     def with_out_dir(self, out_dir) -> "RunConfig":
         return replace(self, out_dir=str(out_dir))

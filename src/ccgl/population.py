@@ -106,7 +106,7 @@ def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
         closer, tied = sub < cut, sub == cut
         room = k - closer.sum(axis=1, keepdims=True)
         picked[surplus] = closer | (tied & (np.cumsum(tied, axis=1) <= room))
-    cols = np.nonzero(picked)[1].reshape(rows, k)
+    cols = (np.flatnonzero(picked) % dist.shape[1]).reshape(rows, k)
     order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
@@ -130,7 +130,11 @@ def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {p - 1}], got {k}")
     require_finite_rows(x, "node")
     sq = (x * x).sum(axis=1)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    gram = x @ x.T
+    # |x_i|^2 + |x_j|^2 - 2 x_i.x_j, built in place to hold one P x P temporary fewer
+    dist = np.add.outer(sq, sq)
+    gram *= 2.0
+    dist -= gram
     np.fill_diagonal(dist, np.inf)
     return np.column_stack([np.repeat(np.arange(p), k), k_nearest(dist, k).ravel()])
 
@@ -167,7 +171,7 @@ def _edge_conv_t(
     The first layer of phi is linear, so on edge (i, j) it equals
     x_i (W_a - W_b) + x_j W_b with W_a, W_b the top and bottom halves of w1.
     Both terms are projected once per node; only the hidden activations
-    exist per edge, as a (P, k, H) block.
+    exist per edge, as one (P, k, H) block from ``ad.edge_relu``.
     """
     if aggregation not in ("sum", "max"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -179,13 +183,11 @@ def _edge_conv_t(
     w_self = ad.sub(ad.take(w1, np.arange(d)), w_nbr)
     a = ad.add(ad.matmul(x, w_self), leaves[f"{prefix}/b1"])
     b = ad.matmul(x, w_nbr)
-    hidden = a.data.shape[1]
-    nbr = ad.reshape(ad.take(b, edges[:, 1]), (n, k, hidden))
-    h = ad.relu(ad.add(ad.reshape(a, (n, 1, hidden)), nbr))
+    h = ad.edge_relu(a, b, edges[:, 1].reshape(n, k))
     if aggregation == "sum":
         # the sum over neighbours commutes with the second linear layer
         return ad.add(ad.matmul(ad.reduce_sum(h, axis=1), w2), ad.mul(b2, float(k)))
-    messages = ad.matmul(ad.reshape(h, (n * k, hidden)), w2)
+    messages = ad.matmul(ad.reshape(h, (n * k, -1)), w2)
     return ad.add(ad.reduce_max(ad.reshape(messages, (n, k, -1)), axis=1), b2)
 
 
@@ -230,18 +232,17 @@ def _dgc_forward_t(
 ):
     """Two dynamic edge-conv layers and a softmax head on the tape.
 
-    Edge sets are rebuilt from the running features unless ``fixed_edges``
-    pins them (used by gradient checks); neighbour choice itself carries
-    no gradient.
+    Each layer's edges are rebuilt from its input features unless
+    ``fixed_edges`` (one entry per layer) pins them; a None entry rebuilds
+    that layer. Neighbour choice itself carries no gradient.
     """
     p = features.shape[0]
     k = min(settings.k, p - 1)
     x = Tensor(features)
     edge_record = {}
     for layer in (1, 2):
-        if fixed_edges is not None:
-            edges = fixed_edges[layer - 1]
-        else:
+        edges = None if fixed_edges is None else fixed_edges[layer - 1]
+        if edges is None:
             edges = knn_edges(x.data, k)
         edge_record[f"layer{layer}"] = edges
         x = _edge_conv_t(x, edges, leaves, f"layer{layer}", settings.aggregation)
@@ -297,9 +298,12 @@ def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):
     best_store = store.copy()
     best_metric = -np.inf
     history = []
+    fixed_edges = None
     for epoch in range(cfg.train.dgc_epochs):
         leaves = ad.make_leaves(store)
-        probs, _ = _dgc_forward_t(pop.node_features, leaves, settings)
+        probs, edges = _dgc_forward_t(pop.node_features, leaves, settings, fixed_edges=fixed_edges)
+        # layer 1 reads the node features, which training never changes, so its kNN graph is kept
+        fixed_edges = (edges["layer1"], None)
         loss = _focal_batch_t(probs, pop.labels, pop.train_mask, settings.gamma)
         loss_val = loss.data.item()
         if not np.isfinite(loss_val):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
 from ccgl.autodiff import ParamStore, Tensor
@@ -99,6 +101,18 @@ class TestGradCheck:
             )
 
         assert ad.grad_check(f, store, eps=1e-5, samples=30, seed=4) < 1e-6
+
+    def test_edge_relu_with_repeated_neighbours(self):
+        rng = np.random.default_rng(5)
+        store = make_store(A=rng.standard_normal((4, 3)), B=rng.standard_normal((5, 3)))
+        nbr = np.array([[1, 1, 4], [0, 2, 2], [3, 3, 3], [4, 0, 1]])
+        weights = rng.standard_normal((4, 3, 3))
+
+        def f(leaves):
+            h = ad.edge_relu(leaves["A"], leaves["B"], nbr)
+            return ad.reduce_sum(ad.mul(ad.power(h, 2.0), weights))
+
+        assert ad.grad_check(f, store, eps=1e-5, samples=27, seed=6) < 1e-6
 
     def test_eps_bounds(self):
         store = make_store(w=np.ones(2))
@@ -205,6 +219,45 @@ class TestPrimitives:
         for node in tape.nodes:
             for parent in node._parents:
                 assert position[id(parent)] < position[id(node)]
+
+
+@st.composite
+def edge_relu_cases(draw):
+    """(a, b, nbr): k = 1 and H = 1 are common, neighbours repeat, and integer values make exact-zero sums."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k, hidden = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a, b = rng.standard_normal((n, hidden)), rng.standard_normal((m, hidden))
+    if draw(st.booleans()):
+        a, b = np.round(2.0 * a), np.round(2.0 * b)
+    return a, b, rng.integers(0, m, (n, k))
+
+
+class TestEdgeRelu:
+    @settings(max_examples=150, deadline=None)
+    @given(case=edge_relu_cases(), seed=st.integers(0, 999))
+    def test_matches_take_add_relu_chain_bitwise(self, case, seed):
+        a0, b0, nbr = case
+        (n, hidden), k = a0.shape, nbr.shape[1]
+        a, b, a_ref, b_ref = Tensor(a0), Tensor(b0), Tensor(a0), Tensor(b0)
+        out = ad.edge_relu(a, b, nbr)
+        gathered = ad.reshape(ad.take(b_ref, nbr.ravel()), (n, k, hidden))
+        ref = ad.relu(ad.add(ad.reshape(a_ref, (n, 1, hidden)), gathered))
+        assert out.shape == (n, k, hidden) and np.array_equal(out.data, ref.data)
+        # magnitudes that differ by up to 16 decades make the sums depend on accumulation order
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 9, out.shape)
+        ad.backward(ad.reduce_sum(ad.mul(out, g)))
+        ad.backward(ad.reduce_sum(ad.mul(ref, g)))
+        assert np.array_equal(a.grad, a_ref.grad) and np.array_equal(b.grad, b_ref.grad)
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, nbr_shape",
+        [((3, 2), (4, 3), (3, 2)), ((3, 2), (4, 2), (2, 2)), ((3, 2), (4, 2), (6,)), ((3,), (4, 2), (3, 1))],
+    )
+    def test_rejects_mismatched_shapes(self, a_shape, b_shape, nbr_shape):
+        with pytest.raises(ValueError, match="edge_relu shape mismatch"):
+            ad.edge_relu(np.zeros(a_shape), np.zeros(b_shape), np.zeros(nbr_shape, dtype=int))
 
 
 class TestAdam:

@@ -6,6 +6,7 @@ import pytest
 from ccgl import encoder, pipeline
 from ccgl.autodiff import load_checkpoint, save_checkpoint
 from ccgl.cli import main
+from ccgl.cohort import SynthSpec
 from ccgl.config import ConfigError, RunConfig, config_from_dict, default_config, load_config, save_config
 from ccgl.pipeline import load_snapshot, run_pipeline, stage_data, stage_evaluate, stage_export, stage_train_cgl, stage_train_dgc
 
@@ -111,6 +112,36 @@ class TestConfig:
         doc["split_ratios"] = [1, 0, 0]
         cfg = config_from_dict(doc)
         assert cfg.train.cgl_lr == 0 and cfg.split_ratios == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", (1.7, True)),
+            ("seeds", (True,)),
+            ("seeds", ("1",)),
+            ("seeds", (np.float64(2.5),)),
+            ("seeds", 3),
+            ("split_ratios", (0.7, True, 0.2)),
+            ("split_ratios", ("0.7", 0.1, 0.2)),
+            ("split_ratios", (0.7, None, 0.2)),
+            ("subtypes_per_class", (1.9, True)),
+            ("subtypes_per_class", (True, 2)),
+            ("subtypes_per_class", ("2", 2)),
+        ],
+    )
+    def test_python_built_values_are_not_coerced(self, field, value):
+        spec = dict(n_patients=10, n_rois=8, n_timepoints=160)
+        with pytest.raises(ValueError, match=rf"^{field}:? must (hold|be a sequence of) (integers|numbers), got "):
+            if field == "subtypes_per_class":
+                SynthSpec(**spec, subtypes_per_class=value)
+            else:
+                RunConfig(synth=SynthSpec(**spec), **{field: value})
+
+    def test_python_built_numpy_numbers_become_builtins(self):
+        cfg = RunConfig(synth=default_config().synth, seeds=(np.int64(3),), split_ratios=(np.float64(1.0), 0, 0))
+        assert cfg.seeds == (3,) and type(cfg.seeds[0]) is int
+        assert cfg.split_ratios == (1.0, 0.0, 0.0) and all(type(r) is float for r in cfg.split_ratios)
+        assert type(cfg.with_seed(np.int64(4)).seeds[0]) is int
 
     def test_synth_validation_path(self):
         doc = tiny_config_dict("x")

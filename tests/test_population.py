@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
+from ccgl import population
 from ccgl.cohort import SynthSpec, split_cohort, synth_cohort
 from ccgl.config import DgcSettings, RunConfig, TrainSettings
 from ccgl.population import (
@@ -264,6 +265,18 @@ class TestDgcForward:
 
         assert ad.grad_check(f, params, eps=1e-5, samples=30, seed=5) < 1e-4
 
+    @pytest.mark.parametrize("aggregation", ["sum", "max"])
+    def test_pinned_input_graph_equals_a_rebuild(self, aggregation):
+        pop = random_population(13, p=12)
+        settings = DgcSettings(k=3, hidden1=6, hidden2=5, aggregation=aggregation)
+        leaves = ad.make_leaves(init_dgc_params(6, settings, seed=6))
+        rebuilt, rebuilt_edges = _dgc_forward_t(pop.node_features, leaves, settings)
+        layer1 = knn_edges(pop.node_features, settings.k)
+        pinned, pinned_edges = _dgc_forward_t(pop.node_features, leaves, settings, fixed_edges=(layer1, None))
+        assert np.array_equal(pinned.data, rebuilt.data)
+        for layer in ("layer1", "layer2"):
+            assert np.array_equal(pinned_edges[layer], rebuilt_edges[layer])
+
 
 class TestTrainDgc:
     def _config(self, **overrides):
@@ -301,6 +314,15 @@ class TestTrainDgc:
         params_b, _ = train_dgc(pop_b, cfg, seed=3)
         for name in params_a.names():
             assert np.array_equal(params_a.values[name], params_b.values[name])
+
+    def test_builds_the_layer1_graph_once(self, monkeypatch):
+        built = []
+        real = population.knn_edges
+        monkeypatch.setattr(population, "knn_edges", lambda x, k: built.append(k) or real(x, k))
+        cfg = self._config(train=TrainSettings(cgl_epochs=1, dgc_epochs=7, dgc_lr=0.01))
+        train_dgc(random_population(14, p=12), cfg, seed=0)
+        # one layer-1 graph for the whole run, then one layer-2 graph per epoch
+        assert len(built) == cfg.train.dgc_epochs + 1
 
     def test_returns_best_validation_epoch(self):
         pop = random_population(12, p=16)
