@@ -8,16 +8,13 @@ from .encoder import (
     AttractionMatrix,
     chebyshev_conv,
     contrastive_loss,
-    encode,
     similarity_matrix,
-    topk_pool,
     train_cgl,
 )
 from .metrics import attraction_stats, auc, confusion_metrics, export_population_graph, knn_baseline
 from .population import (
     PopulationGraph,
     dgc_forward,
-    edge_conv,
     focal_loss,
     knn_edges,
     patient_embedding,
@@ -48,8 +45,6 @@ __all__ = [
     "contrastive_loss",
     "default_config",
     "dgc_forward",
-    "edge_conv",
-    "encode",
     "export_population_graph",
     "focal_loss",
     "forward_backward",
@@ -67,7 +62,6 @@ __all__ = [
     "slice_views",
     "split_cohort",
     "synth_cohort",
-    "topk_pool",
     "train_cgl",
     "train_dgc",
 ]

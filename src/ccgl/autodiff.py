@@ -415,9 +415,6 @@ class ParamStore:
         other.step = self.step
         return other
 
-    def n_coordinates(self) -> int:
-        return sum(v.size for v in self.values.values())
-
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform Glorot draw for a (fan_in, fan_out) weight."""

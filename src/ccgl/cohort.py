@@ -173,10 +173,12 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
         except json.JSONDecodeError as exc:
             raise ValueError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
 
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {manifest_path}: top level must be a JSON object, got {manifest!r}")
     if "roi_count" not in manifest or "patients" not in manifest:
         raise ValueError(f"manifest {manifest_path}: needs 'roi_count' and 'patients' keys")
     roi_count = manifest["roi_count"]
-    if not _is_json_int(roi_count) or roi_count < 2:
+    if not is_json_int(roi_count) or roi_count < 2:
         raise ValueError(f"manifest {manifest_path}: field 'roi_count' must be an integer >= 2, got {roi_count!r}")
     entries = manifest["patients"]
     if not isinstance(entries, list):
@@ -204,7 +206,7 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
             if not isinstance(entry[key], str):
                 raise ValueError(f"patient {pid!r} (entry {pos}): field {key!r} must be a JSON string, got {entry[key]!r}")
         label = entry["label"]
-        if not _is_json_int(label) or label not in (0, 1):
+        if not is_json_int(label) or label not in (0, 1):
             raise ValueError(f"patient {pid!r} (entry {pos}): field 'label' must be the integer 0 or 1, got {label!r}")
         pcd = entry["pcd"]
         if not isinstance(pcd, list):
@@ -235,7 +237,7 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
     return Cohort(patients=tuple(patients), roi_count=roi_count)
 
 
-def _is_json_int(value) -> bool:
+def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .cohort import MIN_WINDOW_LENGTH, SynthSpec, number_tuple
+from .cohort import MIN_WINDOW_LENGTH, SynthSpec, is_json_int, number_tuple
 from .connectivity import EdgePolicy
 
 
@@ -97,25 +97,13 @@ class RunConfig:
         _check(abs(sum(self.split_ratios) - 1.0) <= 1e-9, "split_ratios", "must sum to 1")
         _check(self.split_ratios[0] > 0, "split_ratios", "train ratio must be positive")
         _check(len(self.seeds) >= 1, "seeds", "need at least one seed")
+        _check(all(seed >= 0 for seed in self.seeds), "seeds", "must be non-negative")
 
     def to_dict(self) -> dict:
-        out = {
-            "n_views": self.n_views,
-            "min_window_length": self.min_window_length,
-            "edge_policy": asdict(self.edge_policy),
-            "encoder": asdict(self.encoder),
-            "dgc": asdict(self.dgc),
-            "train": asdict(self.train),
-            "split_ratios": list(self.split_ratios),
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
-        if self.manifest is not None:
-            out["data"] = {"manifest": self.manifest}
-        else:
-            synth = asdict(self.synth)
-            synth["subtypes_per_class"] = list(self.synth.subtypes_per_class)
-            out["data"] = {"synth": synth}
+        """The JSON document ``config_from_dict`` reads: every field, tuples as lists, the data source under "data"."""
+        out = asdict(self, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items})
+        manifest, synth = out.pop("manifest"), out.pop("synth")
+        out["data"] = {"manifest": manifest} if synth is None else {"synth": synth}
         return out
 
     def with_seed(self, seed: int) -> "RunConfig":
@@ -134,9 +122,9 @@ _KINDS = {int: "integer", float: "number", str: "string"}
 
 
 def _is_kind(kind, value) -> bool:
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is str:
+        return isinstance(value, str)
+    return is_json_int(value) or (kind is float and isinstance(value, float))
 
 
 def _typed(path: str, hint, value):

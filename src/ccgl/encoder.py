@@ -29,22 +29,17 @@ PCD_FEATURE_SCALE = 0.05
 
 @dataclass(frozen=True)
 class AttractionMatrix:
-    """Pairwise cosine similarities among 2N view embeddings.
-
-    ``pairing[row]`` gives (patient index, view index); rows 2i and 2i+1
-    hold patient i's two views.
-    """
+    """Pairwise cosine similarities among 2N view embeddings, laid out as ``pair_split`` reads them."""
 
     values: np.ndarray
-    pairing: tuple
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         n = arr.shape[0]
         if arr.ndim != 2 or arr.shape != (n, n):
             raise ValueError(f"attraction matrix must be square, got {arr.shape}")
-        if len(self.pairing) != n:
-            raise ValueError(f"pairing length {len(self.pairing)} does not match {n} rows")
+        if n == 0 or n % 2:
+            raise ValueError(f"attraction matrix needs 2N rows (two views per patient, N >= 1), got {n}")
         if not np.allclose(arr, arr.T, atol=1e-9):
             raise ValueError("attraction matrix must be symmetric")
         if not np.allclose(np.diag(arr), 1.0, atol=1e-9):
@@ -52,23 +47,19 @@ class AttractionMatrix:
         if arr.min() < -1.0 - 1e-9 or arr.max() > 1.0 + 1e-9:
             raise ValueError("attraction entries must lie in [-1, 1]")
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "pairing", tuple((int(p), int(v)) for p, v in self.pairing))
 
-    @property
-    def n_views(self) -> int:
-        return self.values.shape[0]
 
-    def partner_index(self) -> np.ndarray:
-        """Row index of each row's same-patient partner view."""
-        by_patient: dict = {}
-        for row, (patient, _) in enumerate(self.pairing):
-            by_patient.setdefault(patient, []).append(row)
-        partner = np.empty(self.n_views, dtype=np.int64)
-        for patient, rows in by_patient.items():
-            if len(rows) != 2:
-                raise ValueError(f"patient {patient} has {len(rows)} views, expected 2")
-            partner[rows[0]], partner[rows[1]] = rows[1], rows[0]
-        return partner
+def pair_split(values: np.ndarray):
+    """Same-patient and cross-patient entries of a (2N, 2N) view-similarity array.
+
+    Rows 2i and 2i+1 hold patient i's two views; this is the one place that
+    layout is decided. Returns ``homo``, each row's entry at its partner
+    (row ^ 1), and ``heter``, every other off-diagonal entry in row-major order.
+    """
+    rows = np.arange(values.shape[0])
+    off = ~np.eye(rows.size, dtype=bool)
+    off[rows, rows ^ 1] = False
+    return values[rows, rows ^ 1], values[off]
 
 
 @dataclass(frozen=True)
@@ -145,14 +136,6 @@ def _topk_pool_t(v: Tensor, score_vec: Tensor, ratio: float):
     return gated, kept
 
 
-def topk_pool(v: np.ndarray, lap: ScaledLaplacian, score_vec: np.ndarray, ratio: float):
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"pool ratio must be in (0, 1], got {ratio}")
-    p = np.asarray(score_vec, dtype=np.float64).reshape(-1, 1)
-    gated, kept = _topk_pool_t(Tensor(np.asarray(v, dtype=np.float64)[None]), Tensor(p), ratio)
-    return gated.data[0], induced_laplacian(lap, kept[0]), kept[0]
-
-
 def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) -> Tensor:
     """Forward prepared views that share R and F to unit-length (B, d) embeddings on one tape.
 
@@ -195,15 +178,10 @@ def prepare_view(graph: ViewGraph) -> PreparedView:
     return PreparedView(features=graph.node_features, lap=normalized_laplacian(graph))
 
 
-def encode(graph: ViewGraph, params: ParamStore, settings: EncoderSettings) -> np.ndarray:
-    """Embed one view graph as a unit-length vector of length embed_dim."""
-    return _encode_t(prepare_view(graph), ad.make_leaves(params), settings).data.ravel()
-
-
 def similarity_matrix(embeddings: np.ndarray) -> AttractionMatrix:
     """Cosine similarity between every ordered pair of view embeddings.
 
-    Rows 2i and 2i+1 are taken as patient i's two views.
+    Rows 2i and 2i+1 are taken as patient i's two views (see ``pair_split``).
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] % 2 != 0 or e.shape[0] == 0:
@@ -215,18 +193,17 @@ def similarity_matrix(embeddings: np.ndarray) -> AttractionMatrix:
     m = unit @ unit.T
     m = np.clip((m + m.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(m, 1.0)
-    pairing = tuple((row // 2, row % 2) for row in range(e.shape[0]))
-    return AttractionMatrix(values=m, pairing=pairing)
+    return AttractionMatrix(values=m)
 
 
 def contrastive_loss(m: AttractionMatrix, tau: float) -> float:
     """Mean softmax loss over the 2N ordered same-patient view pairs."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    return float(_pair_loss_t(Tensor(m.values), m.partner_index(), tau).data)
+    return float(_pair_loss_t(Tensor(m.values), tau).data)
 
 
-def _pair_loss_t(m: Tensor, partner: np.ndarray, tau: float) -> Tensor:
+def _pair_loss_t(m: Tensor, tau: float) -> Tensor:
     """Mean over rows of each row's softmax loss against its partner row, self excluded."""
     two_n = m.data.shape[0]
     z = ad.mul(m, 1.0 / tau)
@@ -234,6 +211,8 @@ def _pair_loss_t(m: Tensor, partner: np.ndarray, tau: float) -> Tensor:
     shift = np.where(mask > 0, z.data, -np.inf).max(axis=1, keepdims=True)
     e = ad.mul(ad.exp(ad.sub(z, shift)), mask)
     log_denom = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift.ravel())
+    # pair_split of the column-index grid gives each row's partner column
+    partner, _ = pair_split(np.broadcast_to(np.arange(two_n), (two_n, two_n)))
     num = ad.take(z, (np.arange(two_n), partner))
     return ad.reduce_mean(ad.sub(log_denom, num))
 
@@ -244,7 +223,7 @@ def _contrastive_loss_t(embeddings: Tensor, tau: float):
     Returns the scalar loss tensor plus the similarity values for logging.
     """
     m = ad.matmul(embeddings, ad.transpose(embeddings))
-    return _pair_loss_t(m, np.arange(m.data.shape[0]) ^ 1, tau), m.data
+    return _pair_loss_t(m, tau), m.data
 
 
 def prepare_views(cohort: Cohort, cfg: RunConfig) -> list:
@@ -334,14 +313,10 @@ def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared:
             ad.backward(loss)
             store = ad.adam_step(store, ad.leaf_grads(leaves), cfg.train.cgl_lr)
 
-            two_n = m_values.shape[0]
-            partner = np.arange(two_n) ^ 1
-            homo = m_values[np.arange(two_n), partner]
-            off = ~np.eye(two_n, dtype=bool)
-            off[np.arange(two_n), partner] = False
+            homo, heter = pair_split(m_values)
             epoch_loss.append(loss_val)
             epoch_homo.append(float(homo.mean()))
-            epoch_heter.append(float(m_values[off].mean()) if off.any() else 0.0)
+            epoch_heter.append(float(heter.mean()) if heter.size else 0.0)
         history.append(
             {
                 "epoch": epoch,

@@ -9,8 +9,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .encoder import AttractionMatrix
-from .population import k_nearest, knn_edges, require_finite_rows
+from .encoder import AttractionMatrix, pair_split
+from .population import k_nearest, knn_edges, require_finite_rows, squared_distances
 
 HIST_BINS = 50
 
@@ -110,13 +110,7 @@ class AttractionSummary:
 
 def attraction_stats(m: AttractionMatrix) -> AttractionSummary:
     """Split ordered off-diagonal attractions into same-patient and cross-patient sets."""
-    partner = m.partner_index()
-    two_n = m.n_views
-    idx = np.arange(two_n)
-    homo = m.values[idx, partner]
-    off = ~np.eye(two_n, dtype=bool)
-    off[idx, partner] = False
-    heter = m.values[off]
+    homo, heter = pair_split(m.values)
     return AttractionSummary(
         homo=_describe(homo),
         heter=_describe(heter),
@@ -245,9 +239,6 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
         raise ValueError(f"k must be in [1, {x_train.shape[0]}], got {k}")
     require_finite_rows(x_train, "training patient")
     require_finite_rows(x_test, "test patient")
-    sq_train = (x_train * x_train).sum(axis=1)
-    sq_test = (x_test * x_test).sum(axis=1)
-    dist = sq_test[:, None] + sq_train[None, :] - 2.0 * (x_test @ x_train.T)
-    scores = y_train[k_nearest(dist, k)].mean(axis=1)
+    scores = y_train[k_nearest(squared_distances(x_test, x_train), k)].mean(axis=1)
     predictions = (scores >= 0.5).astype(np.int64)
     return scores, predictions

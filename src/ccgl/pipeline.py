@@ -204,8 +204,7 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
                 [p.id, p.split, p.label, repr(float(probs[i, 0])), repr(float(probs[i, 1])), int(predicted[i])]
             )
 
-    pair_rows = np.concatenate([np.stack(v[:2]) for v in embeddings])
-    summary = attraction_stats(similarity_matrix(pair_rows))
+    summary = attraction_stats(similarity_matrix(embeddings[:, :2].reshape(-1, embeddings.shape[2])))
     write_attraction_csv(summary, out / "attraction.csv", out / "attraction_hist.csv")
 
     with open(out / "metrics_run.json", "w") as fh:

@@ -118,6 +118,19 @@ def require_finite_rows(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} {int(bad[0])} has non-finite features")
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i|^2 + |b_j|^2 - 2 a_i.b_j for every row i of ``a`` and j of ``b``.
+
+    Built in place, so it holds one (len(a), len(b)) temporary fewer than
+    the plain expression while giving the same bits.
+    """
+    gram = a @ b.T
+    dist = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
+    gram *= 2.0
+    dist -= gram
+    return dist
+
+
 def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     """Directed edges i -> j to each node's k nearest neighbours (Euclidean).
 
@@ -129,12 +142,7 @@ def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     if not (1 <= k <= p - 1):
         raise ValueError(f"k must be in [1, {p - 1}], got {k}")
     require_finite_rows(x, "node")
-    sq = (x * x).sum(axis=1)
-    gram = x @ x.T
-    # |x_i|^2 + |x_j|^2 - 2 x_i.x_j, built in place to hold one P x P temporary fewer
-    dist = np.add.outer(sq, sq)
-    gram *= 2.0
-    dist -= gram
+    dist = squared_distances(x, x)
     np.fill_diagonal(dist, np.inf)
     return np.column_stack([np.repeat(np.arange(p), k), k_nearest(dist, k).ravel()])
 
@@ -189,17 +197,6 @@ def _edge_conv_t(
         return ad.add(ad.matmul(ad.reduce_sum(h, axis=1), w2), ad.mul(b2, float(k)))
     messages = ad.matmul(ad.reshape(h, (n * k, -1)), w2)
     return ad.add(ad.reduce_max(ad.reshape(messages, (n, k, -1)), axis=1), b2)
-
-
-def edge_conv(features: np.ndarray, edges: np.ndarray, phi_weights: dict, aggregation: str = "sum") -> np.ndarray:
-    """Aggregate phi(v_i || v_m - v_i) over each node's out-neighbours m.
-
-    ``edges`` must give every node the same number of out-edges, listed in
-    order of source node, as ``knn_edges`` returns them.
-    """
-    x = Tensor(np.asarray(features, dtype=np.float64))
-    leaves = {f"phi/{k}": Tensor(np.asarray(v, dtype=np.float64)) for k, v in phi_weights.items()}
-    return _edge_conv_t(x, np.asarray(edges, dtype=np.int64), leaves, "phi", aggregation).data
 
 
 def focal_loss(prob_true_class, gamma: float):

@@ -106,6 +106,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{path}: must be a (JSON|list of JSON) "):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("data", [{"synth": {"n_patients": 10, "n_rois": 8, "n_timepoints": 160}}, {"manifest": "m.json"}])
+    def test_to_dict_roundtrips_in_memory(self, data):
+        doc = tiny_config_dict("x")
+        doc["data"] = data
+        cfg = config_from_dict(doc)
+        assert config_from_dict(cfg.to_dict()) == cfg
+
+    def test_negative_seed_in_json_names_seeds(self):
+        doc = tiny_config_dict("x")
+        doc["seeds"] = [0, -1]
+        with pytest.raises(ConfigError, match="^seeds: must be non-negative"):
+            config_from_dict(doc)
+
+    def test_negative_seed_in_python_names_seeds(self):
+        with pytest.raises(ConfigError, match="^seeds: must be non-negative"):
+            RunConfig(synth=default_config().synth, seeds=(-1,))
+
     def test_float_fields_take_integers(self):
         doc = tiny_config_dict("x")
         doc["train"]["cgl_lr"] = 0
@@ -373,6 +390,10 @@ class TestCli:
         out = tmp_path / "elsewhere"
         assert main(["synth", "--config", str(tiny_config_path), "--seed", "7", "--out", str(out)]) == 0
         assert (out / "seed_7" / "cohort.json").exists()
+
+    def test_negative_seed_override_exits_one(self, tiny_config_path, capsys):
+        assert main(["synth", "--config", str(tiny_config_path), "--seed", "-1"]) == 1
+        assert "seeds: must be non-negative" in capsys.readouterr().err
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,13 @@ class TestLoadCohort:
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"roi_count": 4, "patients": []}))
         with pytest.raises(ValueError, match="empty cohort"):
+            load_cohort(manifest)
+
+    @pytest.mark.parametrize("top", ['"x"', "5", "null", "[]"])
+    def test_top_level_must_be_an_object(self, tmp_path, top):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(top)
+        with pytest.raises(ValueError, match=rf"manifest {re.escape(str(manifest))}: top level must be a JSON object"):
             load_cohort(manifest)
 
     def test_nan_reported_with_position(self, manifest_dir):

@@ -14,17 +14,17 @@ from ccgl.encoder import (
     _contrastive_loss_t,
     _encode_batch_t,
     _encode_t,
+    _topk_pool_t,
     chebyshev_conv,
     contrastive_loss,
-    encode,
     init_encoder_params,
+    pair_split,
     prepare_view,
     prepare_views,
     similarity_matrix,
-    topk_pool,
     train_cgl,
 )
-from ccgl.spectral import normalized_laplacian
+from ccgl.spectral import induced_laplacian, normalized_laplacian
 
 
 def small_graph(seed=0, rois=6, top=3):
@@ -42,6 +42,15 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def encode(graph, params, settings):
+    return _encode_t(prepare_view(graph), ad.make_leaves(params), settings).data.ravel()
+
+
+def topk_pool(v, score_vec, ratio):
+    gated, kept = _topk_pool_t(ad.Tensor(v[None]), ad.Tensor(np.reshape(score_vec, (-1, 1))), ratio)
+    return gated.data[0], kept[0]
 
 
 class TestChebyshevConv:
@@ -81,33 +90,22 @@ class TestTopkPool:
         lap = normalized_laplacian(graph)
         v = np.diag([3.0, 1.0, 2.0, 0.0]) @ np.ones((4, 5))
         p = np.ones(5)
-        pooled, sub_lap, kept = topk_pool(v, lap, p, ratio=0.5)
+        pooled, kept = topk_pool(v, p, ratio=0.5)
         assert kept.tolist() == [0, 2]
-        assert sub_lap.n_nodes == 2
+        assert induced_laplacian(lap, kept).n_nodes == 2
 
     def test_full_ratio_keeps_all_but_gates(self):
-        graph = small_graph(4, rois=4)
-        lap = normalized_laplacian(graph)
         rng = np.random.default_rng(4)
         v = rng.standard_normal((4, 5))
         p = rng.standard_normal(5)
-        pooled, _, kept = topk_pool(v, lap, p, ratio=1.0)
+        pooled, kept = topk_pool(v, p, ratio=1.0)
         assert kept.tolist() == [0, 1, 2, 3]
         scores = v @ (p / np.linalg.norm(p))
         assert np.allclose(pooled, v * np.tanh(scores)[:, None])
 
     def test_equal_scores_keep_lowest_indices(self):
-        graph = small_graph(5, rois=4)
-        lap = normalized_laplacian(graph)
-        v = np.ones((4, 3))
-        pooled, _, kept = topk_pool(v, lap, np.ones(3), ratio=0.5)
+        pooled, kept = topk_pool(np.ones((4, 3)), np.ones(3), ratio=0.5)
         assert kept.tolist() == [0, 1]
-
-    def test_ratio_validation(self):
-        graph = small_graph(6, rois=4)
-        lap = normalized_laplacian(graph)
-        with pytest.raises(ValueError, match="ratio"):
-            topk_pool(np.ones((4, 3)), lap, np.ones(3), ratio=0.0)
 
 
 class TestEncode:
@@ -167,10 +165,36 @@ class TestSimilarityMatrix:
             similarity_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_pairing_layout(self):
-        e = np.random.default_rng(9).standard_normal((6, 4))
-        m = similarity_matrix(e)
-        assert m.pairing == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
-        assert m.partner_index().tolist() == [1, 0, 3, 2, 5, 4]
+        # rows 2i and 2i+1 are patient i's views: row r's partner is r ^ 1
+        values = np.arange(36.0).reshape(6, 6)
+        homo, heter = pair_split(values)
+        assert homo.tolist() == [1.0, 6.0, 15.0, 20.0, 29.0, 34.0]
+        assert heter.size == 36 - 6 - 6
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_odd_or_empty_row_count_rejected(self, rows):
+        with pytest.raises(ValueError, match=rf"needs 2N rows \(two views per patient, N >= 1\), got {rows}$"):
+            AttractionMatrix(values=np.eye(rows))
+
+
+class TestPairSplit:
+    @pytest.mark.parametrize("n_patients", [1, 2, 5])
+    def test_matches_per_row_loop(self, n_patients):
+        values = np.random.default_rng(n_patients).standard_normal((2 * n_patients, 2 * n_patients))
+        homo, heter = [], []
+        for row in range(2 * n_patients):
+            partner = row + 1 if row % 2 == 0 else row - 1
+            homo.append(values[row, partner])
+            heter.extend(values[row, col] for col in range(2 * n_patients) if col not in (row, partner))
+        got_homo, got_heter = pair_split(values)
+        assert np.array_equal(got_homo, homo)
+        assert np.array_equal(got_heter, np.array(heter).reshape(-1))
+
+    def test_one_patient_batches_record_zero_heter(self):
+        cfg = tiny_config(train=TrainSettings(batch_size=1, cgl_epochs=2, dgc_epochs=1))
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        _, history = train_cgl(cohort, cfg, seed=0)
+        assert [h["mean_heter"] for h in history] == [0.0, 0.0]
 
 
 class TestContrastiveLoss:
@@ -187,7 +211,7 @@ class TestContrastiveLoss:
         for a, b in ((0, 1), (2, 3)):
             values[a, b] = values[b, a] = 1.0
         np.fill_diagonal(values, 1.0)
-        m = AttractionMatrix(values=values, pairing=((0, 0), (0, 1), (1, 0), (1, 1)))
+        m = AttractionMatrix(values=values)
         # denominator adds two cross terms of exp(-20): loss ~ 2e^-20
         assert contrastive_loss(m, 0.1) == pytest.approx(2.0 * np.exp(-20.0), rel=1e-6)
 

@@ -17,7 +17,7 @@ from ccgl.config import EncoderSettings
 from ccgl.connectivity import CorrelationMatrix, EdgePolicy, ViewGraph, build_fc_graph
 from ccgl.encoder import _encode_batch_t, init_encoder_params, prepare_view
 from ccgl.metrics import auc, knn_baseline
-from ccgl.population import _edge_conv_t, knn_edges
+from ccgl.population import _edge_conv_t, knn_edges, squared_distances
 from ccgl.spectral import induced_laplacian, largest_eigenvalue, normalized_laplacian
 from tests import oracles
 
@@ -120,6 +120,15 @@ class TestKnnOracle:
         expected = oracles.knn_baseline_scores(x_train, y_train, x_test, k)
         assert np.array_equal(scores, expected)
         assert np.array_equal(predictions, (expected >= 0.5).astype(np.int64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(train=point_sets(), n_test=st.integers(1, 12), seed=st.integers(0, 999))
+    def test_squared_distances_match_the_plain_expression_bitwise(self, train, n_test, seed):
+        x_train, _ = train
+        x_test = np.random.default_rng(seed).standard_normal((n_test, x_train.shape[1]))
+        for a, b in ((x_test, x_train), (x_train, x_train)):
+            plain = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+            assert np.array_equal(squared_distances(a, b), plain)
 
 
 @st.composite

@@ -13,7 +13,6 @@ from ccgl.population import (
     _edge_conv_t,
     _focal_batch_t,
     dgc_forward,
-    edge_conv,
     focal_loss,
     init_dgc_params,
     knn_edges,
@@ -115,6 +114,11 @@ def projection_phi(d):
         w2[c, c] = 1.0
         w2[d + c, c] = -1.0
     return {"w1": w1, "b1": np.zeros(2 * d), "w2": w2, "b2": np.zeros(d)}
+
+
+def edge_conv(x, edges, phi_weights):
+    leaves = {f"phi/{k}": ad.Tensor(v) for k, v in phi_weights.items()}
+    return _edge_conv_t(ad.Tensor(x), np.asarray(edges), leaves, "phi").data
 
 
 class TestEdgeConv:
