@@ -3,14 +3,17 @@
 Every differentiable computation in this package is a composition of the
 primitives defined here; each primitive records its parents and a
 vector-Jacobian product on a tape that is replayed once per backward pass.
-The closed primitive set keeps every gradient auditable against central
-finite differences.
+A primitive's operands are Tensors or numpy arrays, and a numpy operand is a
+constant: it is never recorded and gets no gradient, and a primitive with no
+Tensor operand returns a plain ndarray. The closed primitive set keeps every
+gradient auditable against central finite differences.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +81,6 @@ def backward(loss: Tensor) -> None:
         if node._vjp is None or node.grad is None:
             continue
         for parent, piece in zip(node._parents, node._vjp(node.grad)):
-            if piece is None:
-                continue
             if parent.grad is None:
                 # an owned copy: a piece may alias node.grad or be a broadcast view
                 grad = np.array(piece, dtype=np.float64)
@@ -94,8 +95,30 @@ def backward(loss: Tensor) -> None:
         node.grad = None
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def value(x) -> np.ndarray:
+    """The array behind ``x``: a Tensor's data, or x itself as a float64 array."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _record(out, operands, *vjps, pre=None):
+    """A primitive's result ``out``, recorded with its Tensor operands as parents.
+
+    ``vjps[i]`` maps the output's gradient to operand i's gradient piece. A
+    numpy operand is a constant: it is not recorded and its vjp is never
+    called, so with no Tensor operand ``out`` comes back as a plain ndarray.
+    ``pre`` maps the output's gradient once, before the vjps share it.
+    """
+    out = np.asarray(out, dtype=np.float64)
+    recorded = [(t, vjp) for t, vjp in zip(operands, vjps) if isinstance(t, Tensor)]
+    if not recorded:
+        return out
+    parents, fns = zip(*recorded)
+
+    def vjp(g):
+        g = g if pre is None else pre(g)
+        return tuple(fn(g) for fn in fns)
+
+    return Tensor(out, parents, vjp)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -107,59 +130,50 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
+def _unreduce(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient broadcast back to the operand's ``shape``.
+
+    The result is a read-only view: backward copies a piece before it keeps it.
+    """
+    return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), shape)
+
+
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: each takes Tensors or numpy arrays, numpy ones being constants
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
-    out._vjp = lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-    return out
+def add(a, b):
+    x, y = value(a), value(b)
+    return _record(x + y, (a, b), lambda g: _unbroadcast(g, x.shape), lambda g: _unbroadcast(g, y.shape))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, (a, b))
-    out._vjp = lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
-    return out
+def sub(a, b):
+    x, y = value(a), value(b)
+    return _record(x - y, (a, b), lambda g: _unbroadcast(g, x.shape), lambda g: _unbroadcast(-g, y.shape))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
-    out._vjp = lambda g: (
-        _unbroadcast(g * b.data, a.data.shape),
-        _unbroadcast(g * a.data, b.data.shape),
+def mul(a, b):
+    x, y = value(a), value(b)
+    return _record(x * y, (a, b), lambda g: _unbroadcast(g * y, x.shape), lambda g: _unbroadcast(g * x, y.shape))
+
+
+def div(a, b):
+    x, y = value(a), value(b)
+    return _record(
+        x / y, (a, b), lambda g: _unbroadcast(g / y, x.shape), lambda g: _unbroadcast(-g * x / (y * y), y.shape)
     )
-    return out
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data, (a, b))
-    out._vjp = lambda g: (
-        _unbroadcast(g / b.data, a.data.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-    )
-    return out
+def neg(a):
+    return _record(-value(a), (a,), lambda g: -g)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data, (a,))
-    out._vjp = lambda g: (-g,)
-    return out
-
-
-def matmul(a, b) -> Tensor:
+def matmul(a, b):
     """a @ b; either operand may carry a leading batch axis.
 
-    A numpy operand is a constant: it is not recorded and gets no gradient.
     The gradient of a 2-D operand of a batched product is summed over the batch.
     """
-    x = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    y = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    x, y = value(a), value(b)
     if (
         x.ndim not in (2, 3)
         or y.ndim not in (2, 3)
@@ -167,172 +181,111 @@ def matmul(a, b) -> Tensor:
         or (x.ndim == y.ndim == 3 and x.shape[0] != y.shape[0])
     ):
         raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
 
-    def vjp(g):
-        pieces = []
-        if isinstance(a, Tensor):
-            pieces.append(_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape))
-        if isinstance(b, Tensor):
-            if y.ndim == 2:
-                # one product sums over the batch and the rows together
-                pieces.append(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            else:
-                pieces.append(_unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
-        return tuple(pieces)
+    def grad_b(g):
+        if y.ndim == 2:
+            # one product sums over the batch and the rows together
+            return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
 
-    out = Tensor(x @ y, parents)
-    out._vjp = vjp
-    return out
+    return _record(x @ y, (a, b), lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape), grad_b)
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T, (a,))
-    out._vjp = lambda g: (g.T,)
-    return out
+def transpose(a):
+    x = value(a)
+    if x.ndim != 2:
+        raise ValueError(f"transpose expects a matrix, got shape {x.shape}")
+    return _record(x.T, (a,), lambda g: g.T)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-    out._vjp = lambda g: (g.reshape(a.data.shape),)
-    return out
+def reshape(a, shape):
+    x = value(a)
+    return _record(x.reshape(shape), (a,), lambda g: g.reshape(x.shape))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
-    out._vjp = lambda g: (g * (a.data > 0.0),)
-    return out
+def relu(a):
+    x = value(a)
+    return _record(np.maximum(x, 0.0), (a,), lambda g: g * (x > 0.0))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    val = np.exp(a.data)
-    out = Tensor(val, (a,))
-    out._vjp = lambda g: (g * val,)
-    return out
+def exp(a):
+    val = np.exp(value(a))
+    return _record(val, (a,), lambda g: g * val)
 
 
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.log(a.data), (a,))
-    out._vjp = lambda g: (g / a.data,)
-    return out
+def log(a):
+    x = value(a)
+    return _record(np.log(x), (a,), lambda g: g / x)
 
 
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    val = np.sqrt(a.data)
-    out = Tensor(val, (a,))
-    out._vjp = lambda g: (g * 0.5 / val,)
-    return out
+def sqrt(a):
+    val = np.sqrt(value(a))
+    return _record(val, (a,), lambda g: g * 0.5 / val)
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    val = np.tanh(a.data)
-    out = Tensor(val, (a,))
-    out._vjp = lambda g: (g * (1.0 - val * val),)
-    return out
+def tanh(a):
+    val = np.tanh(value(a))
+    return _record(val, (a,), lambda g: g * (1.0 - val * val))
 
 
-def power(a, exponent: float) -> Tensor:
+def power(a, exponent: float):
     """Elementwise a ** exponent for a fixed real exponent."""
-    a = _as_tensor(a)
+    x = value(a)
     exponent = float(exponent)
-    out = Tensor(a.data ** exponent, (a,))
 
     def vjp(g):
         if exponent == 0.0:
-            return (np.zeros_like(a.data),)
-        local = exponent * a.data ** (exponent - 1.0)
+            return np.zeros_like(x)
+        local = exponent * x ** (exponent - 1.0)
         if exponent >= 1.0:
-            local = np.where(a.data == 0.0, 0.0, local)
-        return (g * local,)
+            local = np.where(x == 0.0, 0.0, local)
+        return g * local
 
-    out._vjp = vjp
-    return out
-
-
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        # a read-only view: backward copies a piece before it keeps it
-        return (np.broadcast_to(g, a.data.shape),)
-
-    out._vjp = vjp
-    return out
+    return _record(x**exponent, (a,), vjp)
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / count,)
-
-    out._vjp = vjp
-    return out
+def reduce_sum(a, axis=None, keepdims: bool = False):
+    x = value(a)
+    return _record(x.sum(axis=axis, keepdims=keepdims), (a,), lambda g: _unreduce(g, x.shape, axis, keepdims))
 
 
-def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a, axis=None, keepdims: bool = False):
+    x = value(a)
+    count = x.size if axis is None else x.shape[axis]
+    return _record(x.mean(axis=axis, keepdims=keepdims), (a,), lambda g: _unreduce(g, x.shape, axis, keepdims) / count)
+
+
+def reduce_max(a, axis=None, keepdims: bool = False):
     """Max reduction; on ties the gradient routes to the first maximal element."""
-    a = _as_tensor(a)
-    out = Tensor(a.data.max(axis=axis, keepdims=keepdims), (a,))
+    x = value(a)
 
     def vjp(g):
-        mask = np.zeros_like(a.data)
+        mask = np.zeros_like(x)
         if axis is None:
-            mask.flat[np.argmax(a.data)] = 1.0
-            return (mask * g,)
-        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-        np.put_along_axis(mask, idx, 1.0, axis=axis)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (mask * g,)
+            mask.flat[np.argmax(x)] = 1.0
+        else:
+            np.put_along_axis(mask, np.expand_dims(np.argmax(x, axis=axis), axis), 1.0, axis=axis)
+        return mask * _unreduce(g, x.shape, axis, keepdims)
 
-    out._vjp = vjp
-    return out
+    return _record(x.max(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    out._vjp = vjp
-    return out
+def concat(tensors, axis: int = 0):
+    arrays = [value(t) for t in tensors]
+    offsets = np.cumsum([0] + [x.shape[axis] for x in arrays])
+    vjps = [lambda g, lo=lo, hi=hi: np.take(g, np.arange(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:])]
+    return _record(np.concatenate(arrays, axis=axis), tensors, *vjps)
 
 
-def take(a, index) -> Tensor:
+def take(a, index):
     """a[index] on the tape, for an integer array or a tuple of them on a's leading axes.
 
     The backward adds each pick's gradient in one bincount over flat
     positions, so repeated indices accumulate in the order they were picked.
     """
-    a = _as_tensor(a)
+    x = value(a)
     index = tuple(np.asarray(i, dtype=np.int64) for i in (index if isinstance(index, tuple) else (index,)))
-    out = Tensor(a.data[index], (a,))
-    out._vjp = lambda g: (_scatter_add(g, index, a.data.shape),)
-    return out
+    return _record(x[index], (a,), lambda g: _scatter_add(g, index, x.shape))
 
 
 def _scatter_add(g: np.ndarray, index: tuple, shape) -> np.ndarray:
@@ -348,39 +301,29 @@ def _scatter_add(g: np.ndarray, index: tuple, shape) -> np.ndarray:
     return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
-def edge_relu(a, b, nbr) -> Tensor:
+def edge_relu(a, b, nbr):
     """relu(a[i] + b[nbr[i, j]]) as an (n, k, H) tensor, for a (n, H), b (m, H) and integer nbr (n, k).
 
     The fused form of gathering neighbour rows, adding each node's own row
     and applying relu: only the (n, k, H) output is kept, and the backward
     gives the same bits as that chain of primitives.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
+    x, y = value(a), value(b)
     nbr = np.asarray(nbr, dtype=np.int64)
-    if (
-        a.data.ndim != 2
-        or b.data.ndim != 2
-        or nbr.ndim != 2
-        or a.data.shape[1] != b.data.shape[1]
-        or nbr.shape[0] != a.data.shape[0]
-    ):
-        raise ValueError(f"edge_relu shape mismatch: a {a.data.shape}, b {b.data.shape}, nbr {nbr.shape}")
-    val = np.take(b.data, nbr, axis=0)
-    val += a.data[:, None, :]
+    if x.ndim != 2 or y.ndim != 2 or nbr.ndim != 2 or x.shape[1] != y.shape[1] or nbr.shape[0] != x.shape[0]:
+        raise ValueError(f"edge_relu shape mismatch: a {x.shape}, b {y.shape}, nbr {nbr.shape}")
+    val = np.take(y, nbr, axis=0)
+    val += x[:, None, :]
     np.maximum(val, 0.0, out=val)
-    out = Tensor(val, (a, b))
-
-    def vjp(g):
-        gm = g * (val > 0.0)
-        return gm.sum(axis=1), _scatter_add(gm, (nbr,), b.data.shape)
-
-    out._vjp = vjp
-    return out
+    # the relu mask is applied to the gradient once and shared by both operands
+    return _record(
+        val, (a, b), lambda g: g.sum(axis=1), lambda g: _scatter_add(g, (nbr,), y.shape), pre=lambda g: g * (val > 0.0)
+    )
 
 
-def clamp_min(a, floor: float) -> Tensor:
+def clamp_min(a, floor: float):
     """max(a, floor) built from relu; gradient is 1 above the floor, 0 below."""
-    return add(relu(sub(a, floor)), Tensor(floor))
+    return add(relu(sub(a, floor)), floor)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +383,6 @@ def forward_backward(f, params: ParamStore, *inputs):
     out = f(leaves, *inputs)
     if not isinstance(out, Tensor):
         raise ValueError("computation must return a Tensor")
-    if out.data.size != 1:
-        raise ValueError(f"non-scalar loss: shape {out.data.shape}")
     backward(out)
     return float(out.data.reshape(())), leaf_grads(leaves)
 
@@ -463,9 +404,7 @@ def grad_check(f, params: ParamStore, eps: float = 1e-5, samples: int = 30, seed
     picked = [coords[i] for i in rng.choice(len(coords), size=min(samples, len(coords)), replace=False)]
 
     def value_at(store: ParamStore) -> float:
-        leaves = make_leaves(store)
-        out = f(leaves)
-        val = float(out.data.reshape(()))
+        val = float(f(make_leaves(store)).data.reshape(()))
         if not np.isfinite(val):
             raise ValueError("non-finite loss at perturbed point")
         return val
@@ -519,6 +458,7 @@ def adam_step(
 
 
 def save_checkpoint(params: ParamStore, path) -> None:
+    """Write ``params`` as JSON through ``<path>.partial``, renamed into place only once complete."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "params": {
@@ -526,18 +466,31 @@ def save_checkpoint(params: ParamStore, path) -> None:
             for name, arr in params.values.items()
         },
     }
-    with open(path, "w") as fh:
+    partial = f"{path}.partial"
+    with open(partial, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
+    os.replace(partial, path)
 
 
 def load_checkpoint(path) -> ParamStore:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The parameters ``save_checkpoint`` wrote; a malformed file raises a ValueError naming it."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
+        raise ValueError(f"checkpoint {path} must hold a JSON object with a 'params' object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r} in {path}")
     store = ParamStore()
     for name in sorted(payload["params"]):
         entry = payload["params"][name]
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
+            raise ValueError(f"checkpoint {path}: parameter {name!r} needs 'shape' and 'values'")
+        try:
+            arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path}: parameter {name!r} does not fit its shape: {exc}") from None
         store.add(name, arr)
     return store

@@ -49,17 +49,22 @@ class AttractionMatrix:
         object.__setattr__(self, "values", arr)
 
 
+def pair_partner(two_n: int) -> np.ndarray:
+    """Each of 2N view rows' partner row; that rows 2i and 2i+1 are patient i's two views is decided here only."""
+    return np.arange(two_n) ^ 1
+
+
 def pair_split(values: np.ndarray):
     """Same-patient and cross-patient entries of a (2N, 2N) view-similarity array.
 
-    Rows 2i and 2i+1 hold patient i's two views; this is the one place that
-    layout is decided. Returns ``homo``, each row's entry at its partner
-    (row ^ 1), and ``heter``, every other off-diagonal entry in row-major order.
+    Returns ``homo``, each row's entry at its ``pair_partner`` column, and
+    ``heter``, every other off-diagonal entry in row-major order.
     """
     rows = np.arange(values.shape[0])
+    partner = pair_partner(rows.size)
     off = ~np.eye(rows.size, dtype=bool)
-    off[rows, rows ^ 1] = False
-    return values[rows, rows ^ 1], values[off]
+    off[rows, partner] = False
+    return values[rows, partner], values[off]
 
 
 @dataclass(frozen=True)
@@ -83,20 +88,13 @@ def init_encoder_params(in_dim: int, settings: EncoderSettings, seed: int) -> Pa
     return store
 
 
-def _chebyshev_basis(scaled: np.ndarray, x: np.ndarray, k: int) -> list:
-    """[Z_1, ..., Z_k] with Z_1 = X, Z_2 = L~ X, Z_k = 2 L~ Z_{k-1} - Z_{k-2}, off the tape.
+def _chebyshev_t(v, scaled: np.ndarray, thetas):
+    """Sum_k Z_k theta_k with Z_1 = V, Z_2 = L~ V, Z_k = 2 L~ Z_{k-1} - Z_{k-2}.
 
-    For a constant X the basis depends on no parameter, so a Chebyshev
-    filter of X is one product per term with no recorded recursion.
+    V is (R, F) or (B, R, F) and the constant L~ is (R, R) or (B, R, R).
+    A numpy V keeps the basis Z_k off the tape, and with numpy thetas too
+    the result is a plain ndarray.
     """
-    basis = [x, scaled @ x][:k]
-    while len(basis) < k:
-        basis.append((scaled @ basis[-1]) * 2.0 - basis[-2])
-    return basis
-
-
-def _chebyshev_t(v: Tensor, scaled: np.ndarray, thetas) -> Tensor:
-    """Sum_k Z_k theta_k for a (B, R, F) tensor V and a constant (B, R, R) stack L~."""
     out = ad.matmul(v, thetas[0])
     if len(thetas) == 1:
         return out
@@ -114,8 +112,9 @@ def chebyshev_conv(v: np.ndarray, lap: ScaledLaplacian, thetas) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != lap.n_nodes:
         raise ValueError(f"features must be ({lap.n_nodes}, F), got {v.shape}")
-    basis = _chebyshev_basis(lap.values, v, len(thetas))
-    return sum(z @ np.asarray(t, dtype=np.float64) for z, t in zip(basis, thetas))
+    if len(thetas) == 0:
+        raise ValueError("thetas must hold at least one filter weight")
+    return _chebyshev_t(v, lap.values, [np.asarray(t, dtype=np.float64) for t in thetas])
 
 
 def _topk_pool_t(v: Tensor, score_vec: Tensor, ratio: float):
@@ -139,22 +138,15 @@ def _topk_pool_t(v: Tensor, score_vec: Tensor, ratio: float):
 def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) -> Tensor:
     """Forward prepared views that share R and F to unit-length (B, d) embeddings on one tape.
 
-    Block 1 filters the constant features, so its Chebyshev basis is built
-    off the tape; block 2 filters by the stacked Laplacians of the subgraphs
-    block 1 kept. ``names`` labels the views in errors (default: row index).
+    Block 1 filters the numpy features, which are constants on the tape;
+    block 2 filters by the stacked Laplacians of the subgraphs block 1 kept.
+    ``names`` labels the views in errors (default: row index).
     """
     def thetas(block):
         return [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
 
-    basis = _chebyshev_basis(
-        np.stack([view.lap.values for view in views]),
-        np.stack([view.features for view in views]),
-        settings.cheb_k,
-    )
-    theta1 = thetas(1)
-    h = ad.matmul(basis[0], theta1[0])
-    for z, theta in zip(basis[1:], theta1[1:]):
-        h = ad.add(h, ad.matmul(z, theta))
+    features = np.stack([view.features for view in views])
+    h = _chebyshev_t(features, np.stack([view.lap.values for view in views]), thetas(1))
     h, kept = _topk_pool_t(ad.relu(h), leaves["block1/pool"], settings.pool_ratio)
     sub_scaled = np.stack([induced_laplacian(view.lap, rows).values for view, rows in zip(views, kept)])
     h = ad.relu(_chebyshev_t(h, sub_scaled, thetas(2)))
@@ -200,20 +192,21 @@ def contrastive_loss(m: AttractionMatrix, tau: float) -> float:
     """Mean softmax loss over the 2N ordered same-patient view pairs."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    return float(_pair_loss_t(Tensor(m.values), tau).data)
+    return float(_pair_loss_t(m.values, tau))
 
 
-def _pair_loss_t(m: Tensor, tau: float) -> Tensor:
-    """Mean over rows of each row's softmax loss against its partner row, self excluded."""
-    two_n = m.data.shape[0]
+def _pair_loss_t(m, tau: float):
+    """Mean over rows of each row's softmax loss against its partner row, self excluded.
+
+    ``m`` is a (2N, 2N) Tensor, or a numpy array for a plain value.
+    """
+    two_n = m.shape[0]
     z = ad.mul(m, 1.0 / tau)
     mask = (~np.eye(two_n, dtype=bool)).astype(np.float64)
-    shift = np.where(mask > 0, z.data, -np.inf).max(axis=1, keepdims=True)
+    shift = np.where(mask > 0, ad.value(z), -np.inf).max(axis=1, keepdims=True)
     e = ad.mul(ad.exp(ad.sub(z, shift)), mask)
     log_denom = ad.add(ad.log(ad.reduce_sum(e, axis=1)), shift.ravel())
-    # pair_split of the column-index grid gives each row's partner column
-    partner, _ = pair_split(np.broadcast_to(np.arange(two_n), (two_n, two_n)))
-    num = ad.take(z, (np.arange(two_n), partner))
+    num = ad.take(z, (np.arange(two_n), pair_partner(two_n)))
     return ad.reduce_mean(ad.sub(log_denom, num))
 
 

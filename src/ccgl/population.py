@@ -49,8 +49,9 @@ class PopulationGraph:
             raise ValueError("split masks must be disjoint")
         if not (self.train_mask | self.val_mask | self.test_mask).all():
             raise ValueError("every node needs a split role")
-        if not self.ids:
-            self.ids = tuple(str(i) for i in range(n))
+        self.ids = tuple(self.ids) or tuple(str(i) for i in range(n))
+        if len(self.ids) != n:
+            raise ValueError(f"ids has {len(self.ids)} entries but there are {n} patients")
 
     @property
     def n_patients(self) -> int:
@@ -167,23 +168,18 @@ def _out_degree(edges: np.ndarray, n: int) -> int:
     return k
 
 
-def _edge_conv_t(
-    x: Tensor,
-    edges: np.ndarray,
-    leaves: dict,
-    prefix: str,
-    aggregation: str = "sum",
-) -> Tensor:
+def _edge_conv_t(x, edges: np.ndarray, leaves: dict, prefix: str, aggregation: str = "sum") -> Tensor:
     """EdgeConv phi(x_i || x_j - x_i) aggregated over each node's k out-neighbours.
 
     The first layer of phi is linear, so on edge (i, j) it equals
     x_i (W_a - W_b) + x_j W_b with W_a, W_b the top and bottom halves of w1.
     Both terms are projected once per node; only the hidden activations
-    exist per edge, as one (P, k, H) block from ``ad.edge_relu``.
+    exist per edge, as one (P, k, H) block from ``ad.edge_relu``. ``x`` is
+    a (P, d) Tensor, or numpy node features, which are constants.
     """
     if aggregation not in ("sum", "max"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    n, d = x.data.shape
+    n, d = x.shape
     k = _out_degree(edges, n)
     w1 = leaves[f"{prefix}/w1"]
     w2, b2 = leaves[f"{prefix}/w2"], leaves[f"{prefix}/b2"]
@@ -221,26 +217,20 @@ def init_dgc_params(in_dim: int, settings: DgcSettings, seed: int) -> ParamStore
     return store
 
 
-def _dgc_forward_t(
-    features: np.ndarray,
-    leaves: dict,
-    settings: DgcSettings,
-    fixed_edges=None,
-):
+def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edges=None):
     """Two dynamic edge-conv layers and a softmax head on the tape.
 
     Each layer's edges are rebuilt from its input features unless
     ``fixed_edges`` (one entry per layer) pins them; a None entry rebuilds
-    that layer. Neighbour choice itself carries no gradient.
+    that layer. Neighbour choice itself carries no gradient. The (P, d)
+    node features ``x`` are numpy, so they are constants on the tape.
     """
-    p = features.shape[0]
-    k = min(settings.k, p - 1)
-    x = Tensor(features)
+    k = min(settings.k, x.shape[0] - 1)
     edge_record = {}
     for layer in (1, 2):
         edges = None if fixed_edges is None else fixed_edges[layer - 1]
         if edges is None:
-            edges = knn_edges(x.data, k)
+            edges = knn_edges(ad.value(x), k)
         edge_record[f"layer{layer}"] = edges
         x = _edge_conv_t(x, edges, leaves, f"layer{layer}", settings.aggregation)
     logits = ad.matmul(x, leaves["classifier"])

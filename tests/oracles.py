@@ -19,13 +19,18 @@ from ccgl import spectral
 from ccgl.autodiff import Tensor
 
 
+def _as_tensor(x) -> Tensor:
+    """x as a tape node; these references record a numpy operand as a parentless one."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 # ---------------------------------------------------------------------------
 # segment reductions on the tape
 # ---------------------------------------------------------------------------
 
 def segment_sum(a, segments, n_segments: int) -> Tensor:
     """Sum rows of a into n_segments buckets given per-row segment ids."""
-    a = ad._as_tensor(a)
+    a = _as_tensor(a)
     segments = np.asarray(segments, dtype=np.int64)
     if segments.shape[0] != a.data.shape[0]:
         raise ValueError(f"segment ids ({segments.shape[0]}) must match rows ({a.data.shape[0]})")
@@ -38,7 +43,7 @@ def segment_sum(a, segments, n_segments: int) -> Tensor:
 
 def segment_max(a, segments, n_segments: int) -> Tensor:
     """Per-segment max over rows; segment ids must be sorted ascending."""
-    a = ad._as_tensor(a)
+    a = _as_tensor(a)
     segments = np.asarray(segments, dtype=np.int64)
     if segments.shape[0] != a.data.shape[0]:
         raise ValueError(f"segment ids ({segments.shape[0]}) must match rows ({a.data.shape[0]})")
@@ -71,7 +76,7 @@ def segment_max(a, segments, n_segments: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def gather_rows(a, index) -> Tensor:
-    a = ad._as_tensor(a)
+    a = _as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(a.data[index], (a,))
 
@@ -86,7 +91,7 @@ def gather_rows(a, index) -> Tensor:
 
 def take_pairs(a, rows, cols) -> Tensor:
     """Pick a[rows[k], cols[k]] for each k, as a 1-D tensor."""
-    a = ad._as_tensor(a)
+    a = _as_tensor(a)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     out = Tensor(a.data[rows, cols], (a,))
@@ -105,7 +110,7 @@ def take_along_axis(a, index, axis: int) -> Tensor:
 
     Unique indices make the backward one scatter with no accumulation.
     """
-    a = ad._as_tensor(a)
+    a = _as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(np.take_along_axis(a.data, index, axis=axis), (a,))
 
@@ -160,7 +165,7 @@ def spmm(s, x) -> Tensor:
 
     The backward multiplies by s, equal to s.T here, without building a transpose.
     """
-    x = ad._as_tensor(x)
+    x = _as_tensor(x)
     if not sp.issparse(s):
         raise ValueError("spmm expects a scipy sparse matrix on the left")
     if s.shape[1] != x.data.shape[0]:

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
 from ccgl.autodiff import ParamStore, Tensor
+
+VERSION = ad.CHECKPOINT_VERSION
 
 
 def make_store(**arrays):
@@ -221,6 +225,99 @@ class TestPrimitives:
                 assert position[id(parent)] < position[id(node)]
 
 
+# each step maps the running value h to a new (3, 3) one; k(x) passes a constant x as numpy or as Tensor(x)
+NBR = np.array([[0, 2], [1, 1], [2, 0]])
+STEPS = {
+    "add": lambda h, c, k: ad.add(h, k(c)),
+    "add_left": lambda h, c, k: ad.add(k(c), h),
+    "sub": lambda h, c, k: ad.sub(h, k(c)),
+    "sub_left": lambda h, c, k: ad.sub(k(c), h),
+    "mul": lambda h, c, k: ad.mul(k(c), h),
+    "div": lambda h, c, k: ad.div(h, k(np.abs(c) + 1.0)),
+    "div_left": lambda h, c, k: ad.div(k(c), ad.add(ad.mul(h, h), k(1.0))),
+    "matmul": lambda h, c, k: ad.matmul(h, k(c)),
+    "matmul_left": lambda h, c, k: ad.matmul(k(c), h),
+    "batched_matmul": lambda h, c, k: ad.reduce_sum(ad.matmul(k(np.stack([c, c.T])), h), axis=0),
+    "relu": lambda h, c, k: ad.relu(ad.sub(h, k(0.1))),
+    "tanh": lambda h, c, k: ad.tanh(h),
+    "exp": lambda h, c, k: ad.exp(ad.mul(h, k(0.1))),
+    "log_sqrt": lambda h, c, k: ad.log(ad.sqrt(ad.add(ad.mul(h, h), k(1.0)))),
+    "power_neg": lambda h, c, k: ad.neg(ad.power(h, 2.0)),
+    "transpose_reshape": lambda h, c, k: ad.reshape(ad.reshape(ad.transpose(h), (9,)), (3, 3)),
+    "reduce_constant": lambda h, c, k: ad.add(h, ad.reduce_mean(ad.reduce_max(k(c), axis=1, keepdims=True), axis=0)),
+    "reduce": lambda h, c, k: ad.mul(h, ad.reduce_sum(ad.mul(h, k(c)), axis=1, keepdims=True)),
+    "concat_take": lambda h, c, k: ad.take(ad.concat([k(c), h, k(c.T)], axis=0), np.array([3, 0, 5])),
+    "edge_relu": lambda h, c, k: ad.reduce_sum(ad.edge_relu(h, k(c), NBR), axis=1),
+    "edge_relu_left": lambda h, c, k: ad.reduce_sum(ad.edge_relu(k(c), h, NBR), axis=1),
+    "clamp": lambda h, c, k: ad.clamp_min(h, k(0.2)),
+    "leaf": lambda h, c, k: ad.mul(h, ad.tanh(k(c))),
+}
+
+
+class TestConstantRule:
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_numpy_constants_give_the_gradients_of_wrapped_ones(self, steps, seed):
+        rng = np.random.default_rng(seed)
+        store = make_store(W=rng.standard_normal((3, 3)), V=rng.standard_normal((3, 3)))
+        constants = [rng.standard_normal((3, 3)) for _ in steps]
+        weights = rng.standard_normal((3, 3))
+
+        def loss(k):
+            def f(leaves):
+                h = leaves["W"]
+                for step, c in zip(steps, constants):
+                    h = STEPS[step](h, c, k)
+                    if step == "leaf":
+                        h = ad.add(h, leaves["V"])
+                return ad.reduce_sum(ad.mul(h, k(weights)))
+
+            return ad.forward_backward(f, store)
+
+        with np.errstate(all="ignore"):
+            plain_value, plain = loss(lambda x: x)
+            wrapped_value, wrapped = loss(Tensor)
+        assert np.array_equal(plain_value, wrapped_value, equal_nan=True)
+        for name in ("W", "V"):
+            assert np.array_equal(plain[name], wrapped[name], equal_nan=True), name
+
+    def test_numpy_operands_give_an_ndarray(self):
+        a, b = np.full((2, 3), -0.5), np.full((2, 3), 2.0)
+        results = [
+            *(op(a, b) for op in (ad.add, ad.sub, ad.mul, ad.div)),
+            *(op(b) for op in (ad.neg, ad.transpose, ad.relu, ad.exp, ad.log, ad.sqrt, ad.tanh)),
+            ad.matmul(a, b.T),
+            ad.reshape(a, (3, 2)),
+            ad.power(b, 3.0),
+            ad.reduce_sum(a),
+            ad.reduce_mean(a, axis=0),
+            ad.reduce_max(a, axis=1, keepdims=True),
+            ad.concat([a, b], axis=1),
+            ad.take(a, (np.array([1, 0]), np.array([2, 2]))),
+            ad.edge_relu(a, b, np.zeros((2, 1), dtype=int)),
+            ad.clamp_min(a, 0.5),
+        ]
+        assert [type(r) for r in results] == [np.ndarray] * len(results)
+        assert np.array_equal(results[0], a + b) and np.array_equal(results[-1], np.full((2, 3), 0.5))
+
+    def test_recorded_parents_are_the_tensor_operands(self):
+        w = Tensor(np.ones((2, 3)))
+        c = np.full((2, 3), 2.0)
+        outs = [
+            ad.add(c, w),
+            ad.div(w, c),
+            ad.matmul(c.T, w),
+            ad.concat([c, w, c]),
+            ad.edge_relu(c, w, np.zeros((2, 1), dtype=int)),
+            ad.clamp_min(w, 0.5),
+        ]
+        assert [out._parents for out in outs[:-1]] == [(w,)] * 5
+        assert ad.add(w, w)._parents == (w, w)
+        loss = ad.reduce_sum(ad.concat([ad.reshape(ad.reduce_sum(out), (1,)) for out in outs]))
+        for node in ad.Tape.trace(loss).nodes:
+            assert all(isinstance(parent, Tensor) for parent in node._parents)
+
+
 @st.composite
 def edge_relu_cases(draw):
     """(a, b, nbr): k = 1 and H = 1 are common, neighbours repeat, and integer values make exact-zero sums."""
@@ -307,6 +404,47 @@ class TestCheckpoint:
         path.write_text(json.dumps({"version": "other", "params": {}}))
         with pytest.raises(ValueError, match="version"):
             ad.load_checkpoint(path)
+
+    def test_save_writes_through_a_partial_file(self, tmp_path, monkeypatch):
+        store = make_store(w=np.arange(3.0))
+        path = tmp_path / "ckpt.json"
+        path.write_text("stale")
+        moves = []
+        replace = os.replace
+        monkeypatch.setattr(ad.os, "replace", lambda src, dst: (moves.append((src, dst)), replace(src, dst)))
+        ad.save_checkpoint(store, path)
+        assert moves == [(f"{path}.partial", path)]
+        expected = {"version": VERSION, "params": {"w": {"shape": [3], "values": [0.0, 1.0, 2.0]}}}
+        assert path.read_text() == json.dumps(expected, sort_keys=True)
+        assert not Path(f"{path}.partial").exists()
+
+    def test_truncated_file_names_the_path(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        ad.save_checkpoint(make_store(w=np.ones((2, 2))), path)
+        path.write_text(path.read_text()[:30])
+        with pytest.raises(ValueError, match="not valid JSON") as info:
+            ad.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ([], "must hold a JSON object"),
+            (VERSION, "must hold a JSON object"),
+            ({"version": VERSION}, "'params' object"),
+            ({"version": VERSION, "params": {"w": {"values": [1.0]}}}, "parameter 'w' needs 'shape' and 'values'"),
+            ({"version": VERSION, "params": {"w": [1.0]}}, "parameter 'w' needs 'shape' and 'values'"),
+            ({"version": VERSION, "params": {"w": {"shape": [2, 2], "values": [1.0]}}}, "parameter 'w' does not fit"),
+            ({"version": VERSION, "params": {"w": {"shape": "x", "values": [1.0]}}}, "parameter 'w' does not fit"),
+            ({"version": VERSION, "params": {"w": {"shape": [2], "values": ["a", 1]}}}, "parameter 'w' does not fit"),
+        ],
+    )
+    def test_malformed_file_names_the_path(self, tmp_path, payload, match):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match) as info:
+            ad.load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_duplicate_name_rejected(self):
         store = make_store(w=np.ones(1))

@@ -11,6 +11,7 @@ from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph
 from ccgl.encoder import (
     AttractionMatrix,
     PreparedView,
+    _chebyshev_t,
     _contrastive_loss_t,
     _encode_batch_t,
     _encode_t,
@@ -18,6 +19,7 @@ from ccgl.encoder import (
     chebyshev_conv,
     contrastive_loss,
     init_encoder_params,
+    pair_partner,
     pair_split,
     prepare_view,
     prepare_views,
@@ -82,6 +84,27 @@ class TestChebyshevConv:
         thetas = [rng.standard_normal((12, 3)) for _ in range(3)]
         expected = v @ (thetas[0] + thetas[1] + thetas[2])
         assert np.abs(chebyshev_conv(v, lap, thetas) - expected).max() < 1e-12
+
+    def test_empty_thetas_rejected(self):
+        graph = small_graph(0)
+        with pytest.raises(ValueError, match="at least one filter weight"):
+            chebyshev_conv(np.zeros((6, graph.feature_dim)), normalized_laplacian(graph), [])
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_numpy_recursion_gives_numpy_matching_dense_polynomials(self, batch):
+        rng = np.random.default_rng(4)
+        graphs = [small_graph(seed, rois=6) for seed in range(batch or 1)]
+        lt = np.stack([normalized_laplacian(g).scaled.toarray() for g in graphs])
+        v = rng.standard_normal((len(graphs), 6, graphs[0].feature_dim))
+        thetas = [rng.standard_normal((graphs[0].feature_dim, 4)) for _ in range(4)]
+        # T_0..T_3 written out as polynomials, not by the recursion under test
+        polys = [np.eye(6), lt, 2.0 * lt @ lt - np.eye(6), 4.0 * lt @ lt @ lt - 3.0 * lt]
+        oracle = sum(polys[k] @ v @ thetas[k] for k in range(4))
+        if batch is None:
+            lt, v, oracle = lt[0], v[0], oracle[0]
+        got = _chebyshev_t(v, lt, thetas)
+        assert type(got) is np.ndarray
+        assert np.abs(got - oracle).max() < 1e-10
 
 
 class TestTopkPool:
@@ -189,6 +212,12 @@ class TestPairSplit:
         got_homo, got_heter = pair_split(values)
         assert np.array_equal(got_homo, homo)
         assert np.array_equal(got_heter, np.array(heter).reshape(-1))
+
+    @pytest.mark.parametrize("n_patients", [1, 4])
+    def test_partner_is_the_homo_column(self, n_patients):
+        two_n = 2 * n_patients
+        homo, _ = pair_split(np.broadcast_to(np.arange(two_n), (two_n, two_n)))
+        assert np.array_equal(pair_partner(two_n), homo)
 
     def test_one_patient_batches_record_zero_heter(self):
         cfg = tiny_config(train=TrainSettings(batch_size=1, cgl_epochs=2, dgc_epochs=1))

@@ -355,6 +355,16 @@ def test_population_mask_validation():
         )
 
 
+
+def test_population_rejects_ids_of_the_wrong_length():
+    pop = random_population(p=5, d=2)
+    masks = (pop.train_mask, pop.val_mask, pop.test_mask)
+    with pytest.raises(ValueError, match="ids has 1 entries but there are 5 patients"):
+        PopulationGraph(pop.node_features, pop.labels, *masks, ids=("a",))
+    named = PopulationGraph(pop.node_features, pop.labels, *masks, ids=np.array(list("abcde")))
+    assert named.ids == tuple("abcde")
+
+
 def test_population_from_embeddings_requires_splits():
     spec = SynthSpec(n_patients=4, n_rois=8, n_timepoints=160)
     cohort = synth_cohort(spec, 0)
