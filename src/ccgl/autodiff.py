@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -457,8 +458,17 @@ def adam_step(
     return out
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A handle on ``<path>.partial``, renamed onto ``path`` only once the block completes."""
+    partial = f"{path}.partial"
+    with open(partial, mode) as fh:
+        yield fh
+    os.replace(partial, path)
+
+
 def save_checkpoint(params: ParamStore, path) -> None:
-    """Write ``params`` as JSON through ``<path>.partial``, renamed into place only once complete."""
+    """Write ``params`` as JSON through ``atomic_write``."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "params": {
@@ -466,10 +476,8 @@ def save_checkpoint(params: ParamStore, path) -> None:
             for name, arr in params.values.items()
         },
     }
-    partial = f"{path}.partial"
-    with open(partial, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True)
-    os.replace(partial, path)
 
 
 def load_checkpoint(path) -> ParamStore:

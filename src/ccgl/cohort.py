@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -104,22 +106,82 @@ class Cohort:
         return np.array([p.label for p in self.patients], dtype=np.int64)
 
 
-def number_tuple(values, kind: type) -> tuple:
-    """``values`` as a tuple of ``kind`` (int or float), refusing what that would change.
+class ConfigError(ValueError):
+    """Validation failure carrying the offending field path."""
 
-    A boolean, a non-number and, for int, a number that is not an integer
-    raise ValueError rather than being converted.
+    def __init__(self, path: str, message: str):
+        self.path, self.message = path, message
+        super().__init__(f"{path}: {message}")
+
+
+_NOUNS = {int: "integer", float: "number", str: "string"}
+# concrete types, not the numbers ABCs, whose isinstance is several times slower
+_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
+
+
+@cache
+def field_types(cls) -> dict:
+    """{field: (kind, is_tuple, optional)} of the dataclass ``cls``; a tuple field's kind is its item type."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        optional = type(None) in get_args(hint)
+        if optional:
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        is_tuple = get_origin(hint) is tuple
+        out[name] = (get_args(hint)[0] if is_tuple else hint, is_tuple, optional)
+    return out
+
+
+def _accepts(kind, value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _ACCEPTED[kind])
+
+
+def check_types(obj, paths=None) -> None:
+    """Hold every field of the dataclass ``obj`` to the JSON config rule, storing numpy numbers as builtins.
+
+    No boolean is a number, an int field takes no 2.5, a str field only a
+    string, a tuple field a list or tuple of its kind (stored as a tuple), a
+    dataclass field only its type, and None only where annotated. ``paths``
+    renames fields in the ConfigError.
     """
-    # concrete types, not the numbers ABCs, whose isinstance is several times slower
-    wanted, noun = ((int, np.integer), "integers") if kind is int else ((int, float, np.integer, np.floating), "numbers")
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise ValueError(f"must be a sequence of {noun}, got {values!r}") from None
-    for value in items:
-        if isinstance(value, bool) or not isinstance(value, wanted):
-            raise ValueError(f"must hold {noun}, got {value!r}")
-    return tuple(kind(value) for value in items)
+    for name, (kind, is_tuple, optional) in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if is_tuple:
+            if type(value) is tuple and all(type(v) is kind for v in value):
+                continue
+        elif type(value) is kind or (value is None and optional):
+            continue
+        path = paths.get(name, name) if paths else name
+        if is_tuple:
+            if not isinstance(value, (list, tuple)) or not all(_accepts(kind, v) for v in value):
+                raise ConfigError(path, f"must be a list of JSON {_NOUNS[kind]}s, got {value!r}")
+            object.__setattr__(obj, name, tuple(kind(v) for v in value))
+        elif is_dataclass(kind):
+            if not isinstance(value, kind):
+                raise ConfigError(path, f"must be an instance of {kind.__name__}, got {value!r}")
+        elif _accepts(kind, value):
+            object.__setattr__(obj, name, value.item() if isinstance(value, np.generic) else value)
+        else:
+            raise ConfigError(path, f"must be a JSON {_NOUNS[kind]}, got {value!r}")
+
+
+def require(obj, name: str, ok: bool, rule: str) -> None:
+    """Raise a ConfigError naming field ``name`` of ``obj`` and its value unless ``ok``."""
+    if not ok:
+        raise ConfigError(name, f"{rule}, got {getattr(obj, name)!r}")
+
+
+def check_split_ratios(ratios, path: str) -> None:
+    """Raise a ConfigError at ``path`` unless ``ratios`` are (train, val, test) shares of the cohort."""
+    if len(ratios) != 3:
+        raise ConfigError(path, f"must have 3 entries, got {len(ratios)}")
+    values = [float(r) for r in ratios]
+    if min(values) < 0:
+        raise ConfigError(path, f"must be non-negative, got {values}")
+    if abs(sum(values) - 1.0) > 1e-9:
+        raise ConfigError(path, f"must sum to 1, got sum {sum(values)}")
+    if values[0] <= 0:
+        raise ConfigError(path, "train ratio must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,34 +197,24 @@ class SynthSpec:
     noise_level: float = 0.5
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "subtypes_per_class", number_tuple(self.subtypes_per_class, int))
-        except ValueError as exc:
-            raise ValueError(f"subtypes_per_class {exc}") from None
-        if self.n_patients < 4:
-            raise ValueError(f"n_patients must be >= 4, got {self.n_patients}")
-        if self.n_rois < 2:
-            raise ValueError(f"n_rois must be >= 2, got {self.n_rois}")
-        if not (0.0 < self.class_ratio < 1.0):
-            raise ValueError(f"invalid class ratio {self.class_ratio}, need 0 < ratio < 1")
-        if self.n_sites < 1:
-            raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        if len(self.subtypes_per_class) != 2 or any(s < 1 for s in self.subtypes_per_class):
-            raise ValueError("subtypes_per_class must give >= 1 subtype for each of the two classes")
-        if self.noise_level < 0:
-            raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
-        if self.n_timepoints < 2 * MIN_WINDOW_LENGTH:
-            raise ValueError(
-                f"n_timepoints must be >= {2 * MIN_WINDOW_LENGTH} to allow two views, got {self.n_timepoints}"
-            )
+        check_types(self)
+        require(self, "n_patients", self.n_patients >= 4, "must be >= 4")
+        require(self, "n_rois", self.n_rois >= 2, "must be >= 2")
+        require(self, "n_timepoints", self.n_timepoints >= 2, "must be >= 2")
+        require(self, "n_sites", self.n_sites >= 1, "must be >= 1")
+        require(self, "class_ratio", 0.0 < self.class_ratio < 1.0, "must be in (0, 1)")
+        counts = self.subtypes_per_class
+        require(self, "subtypes_per_class", len(counts) == 2 and min(counts) >= 1, "must give each of 2 classes >= 1 subtype")
+        require(self, "noise_level", self.noise_level >= 0, "must be >= 0")
 
 
-def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Cohort:
+def load_cohort(manifest_path, min_timepoints: int = 2 * MIN_WINDOW_LENGTH) -> Cohort:
     """Load a cohort from a JSON manifest plus one CSV of time series per patient.
 
     The manifest maps to ``{"roi_count": int, "patients": [...]}`` where each
     patient entry gives ``id``, ``csv`` (path relative to the manifest),
-    ``pcd`` (7 floats), ``label`` (0 or 1) and ``site``.
+    ``pcd`` (7 floats), ``label`` (0 or 1) and ``site``. Every series needs
+    ``min_timepoints`` rows: n_views * min_window_length, for ``slice_views``.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -178,7 +230,7 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
     if "roi_count" not in manifest or "patients" not in manifest:
         raise ValueError(f"manifest {manifest_path}: needs 'roi_count' and 'patients' keys")
     roi_count = manifest["roi_count"]
-    if not is_json_int(roi_count) or roi_count < 2:
+    if not _accepts(int, roi_count) or roi_count < 2:
         raise ValueError(f"manifest {manifest_path}: field 'roi_count' must be an integer >= 2, got {roi_count!r}")
     entries = manifest["patients"]
     if not isinstance(entries, list):
@@ -206,7 +258,7 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
             if not isinstance(entry[key], str):
                 raise ValueError(f"patient {pid!r} (entry {pos}): field {key!r} must be a JSON string, got {entry[key]!r}")
         label = entry["label"]
-        if not is_json_int(label) or label not in (0, 1):
+        if not _accepts(int, label) or label not in (0, 1):
             raise ValueError(f"patient {pid!r} (entry {pos}): field 'label' must be the integer 0 or 1, got {label!r}")
         pcd = entry["pcd"]
         if not isinstance(pcd, list):
@@ -214,17 +266,14 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
         if len(pcd) != PCD_SIZE:
             raise ValueError(f"patient {pid!r} (entry {pos}): pcd has length {len(pcd)}, expected {PCD_SIZE}")
         for k, value in enumerate(pcd):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _accepts(float, value) or not math.isfinite(value):
                 raise ValueError(f"patient {pid!r} (entry {pos}): field 'pcd' item {k} must be a finite number, got {value!r}")
         csv_path = manifest_path.parent / entry["csv"]
         if not csv_path.exists():
             raise ValueError(f"patient {pid!r} (entry {pos}): csv not found: {csv_path}")
         values = _read_series_csv(csv_path, pid, roi_count)
-        if values.shape[0] < 2 * min_window_length:
-            raise ValueError(
-                f"patient {pid!r}: series has {values.shape[0]} timepoints, "
-                f"needs >= {2 * min_window_length} for two views"
-            )
+        if values.shape[0] < min_timepoints:
+            raise ValueError(f"patient {pid!r}: series has {values.shape[0]} timepoints, needs >= {min_timepoints}")
         patients.append(
             PatientRecord(
                 id=pid,
@@ -235,10 +284,6 @@ def load_cohort(manifest_path, min_window_length: int = MIN_WINDOW_LENGTH) -> Co
             )
         )
     return Cohort(patients=tuple(patients), roi_count=roi_count)
-
-
-def is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_series_csv(csv_path: Path, pid: str, roi_count: int) -> np.ndarray:
@@ -436,15 +481,8 @@ def split_cohort(cohort: Cohort, ratios, seed: int) -> Cohort:
     balance up to integer rounding. Any non-empty cell contributes at least
     one training patient. Deterministic for a fixed seed.
     """
+    check_split_ratios(ratios, "ratios")
     ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (3,):
-        raise ValueError(f"ratios must have 3 entries, got {ratios.shape}")
-    if np.any(ratios < 0):
-        raise ValueError(f"ratios must be non-negative, got {ratios.tolist()}")
-    if abs(ratios.sum() - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got sum {ratios.sum()}")
-    if ratios[0] <= 0:
-        raise ValueError("train ratio must be positive")
 
     cells = {}
     for idx, p in enumerate(cohort.patients):

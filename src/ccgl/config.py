@@ -11,18 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
-from .cohort import MIN_WINDOW_LENGTH, SynthSpec, is_json_int, number_tuple
+from .cohort import MIN_WINDOW_LENGTH, ConfigError, SynthSpec, check_split_ratios, check_types, field_types, require
 from .connectivity import EdgePolicy
-
-
-class ConfigError(ValueError):
-    """Validation failure carrying the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +25,13 @@ class EncoderSettings:
     cheb_k: int = 3
     tau: float = 0.1
 
+    def __post_init__(self):
+        check_types(self)
+        for name in ("hidden1", "hidden2", "embed_dim", "cheb_k"):
+            require(self, name, getattr(self, name) >= 1, "must be >= 1")
+        require(self, "pool_ratio", 0.0 < self.pool_ratio <= 1.0, "must be in (0, 1]")
+        require(self, "tau", self.tau > 0.0, "must be > 0")
+
 
 @dataclass(frozen=True)
 class DgcSettings:
@@ -43,6 +41,13 @@ class DgcSettings:
     hidden2: int = 64
     aggregation: str = "sum"
 
+    def __post_init__(self):
+        check_types(self)
+        for name in ("k", "hidden1", "hidden2"):
+            require(self, name, getattr(self, name) >= 1, "must be >= 1")
+        require(self, "gamma", self.gamma >= 0.0, "must be >= 0")
+        require(self, "aggregation", self.aggregation in ("sum", "max"), "must be 'sum' or 'max'")
+
 
 @dataclass(frozen=True)
 class TrainSettings:
@@ -51,6 +56,16 @@ class TrainSettings:
     dgc_epochs: int = 150
     cgl_lr: float = 0.001
     dgc_lr: float = 0.005
+
+    def __post_init__(self):
+        check_types(self)
+        for name in ("batch_size", "cgl_epochs", "dgc_epochs"):
+            require(self, name, getattr(self, name) >= 1, "must be >= 1")
+        for name in ("cgl_lr", "dgc_lr"):
+            require(self, name, getattr(self, name) >= 0.0, "must be >= 0")
+
+
+DATA_PATHS = {"manifest": "data.manifest", "synth": "data.synth"}
 
 
 @dataclass(frozen=True)
@@ -68,36 +83,18 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        for name, kind in (("split_ratios", float), ("seeds", int)):
-            try:
-                object.__setattr__(self, name, number_tuple(getattr(self, name), kind))
-            except ValueError as exc:
-                raise ConfigError(name, str(exc)) from None
+        check_types(self, DATA_PATHS)
         if (self.manifest is None) == (self.synth is None):
             raise ConfigError("data", "exactly one of 'manifest' or 'synth' must be given")
-        _check(self.n_views >= 2, "n_views", "must be >= 2")
-        _check(self.min_window_length >= 2, "min_window_length", "must be >= 2")
-        enc = self.encoder
-        _check(enc.hidden1 >= 1 and enc.hidden2 >= 1, "encoder.hidden1", "widths must be >= 1")
-        _check(enc.embed_dim >= 1, "encoder.embed_dim", "must be >= 1")
-        _check(0.0 < enc.pool_ratio <= 1.0, "encoder.pool_ratio", "must be in (0, 1]")
-        _check(enc.cheb_k >= 1, "encoder.cheb_k", "must be >= 1")
-        _check(enc.tau > 0.0, "encoder.tau", "must be > 0")
-        dgc = self.dgc
-        _check(dgc.k >= 1, "dgc.k", "must be >= 1")
-        _check(dgc.gamma >= 0.0, "dgc.gamma", "must be >= 0")
-        _check(dgc.hidden1 >= 1 and dgc.hidden2 >= 1, "dgc.hidden1", "widths must be >= 1")
-        _check(dgc.aggregation in ("sum", "max"), "dgc.aggregation", "must be 'sum' or 'max'")
-        tr = self.train
-        _check(tr.batch_size >= 1, "train.batch_size", "must be >= 1")
-        _check(tr.cgl_epochs >= 1 and tr.dgc_epochs >= 1, "train.cgl_epochs", "epoch counts must be >= 1")
-        _check(tr.cgl_lr >= 0.0 and tr.dgc_lr >= 0.0, "train.cgl_lr", "learning rates must be >= 0")
-        _check(len(self.split_ratios) == 3, "split_ratios", "must have 3 entries")
-        _check(all(r >= 0 for r in self.split_ratios), "split_ratios", "must be non-negative")
-        _check(abs(sum(self.split_ratios) - 1.0) <= 1e-9, "split_ratios", "must sum to 1")
-        _check(self.split_ratios[0] > 0, "split_ratios", "train ratio must be positive")
-        _check(len(self.seeds) >= 1, "seeds", "need at least one seed")
-        _check(all(seed >= 0 for seed in self.seeds), "seeds", "must be non-negative")
+        require(self, "n_views", self.n_views >= 2, "must be >= 2")
+        require(self, "min_window_length", self.min_window_length >= 2, "must be >= 2")
+        check_split_ratios(self.split_ratios, "split_ratios")
+        require(self, "seeds", len(self.seeds) >= 1, "need at least one seed")
+        require(self, "seeds", min(self.seeds, default=0) >= 0, "must be non-negative")
+        need = self.n_views * self.min_window_length  # slice_views' rule
+        if self.synth is not None and self.synth.n_timepoints < need:
+            rule = f"must be >= n_views * min_window_length = {need}"
+            raise ConfigError("data.synth.n_timepoints", f"{rule}, got {self.synth.n_timepoints}")
 
     def to_dict(self) -> dict:
         """The JSON document ``config_from_dict`` reads: every field, tuples as lists, the data source under "data"."""
@@ -113,77 +110,34 @@ class RunConfig:
         return replace(self, out_dir=str(out_dir))
 
 
-def _check(ok: bool, path: str, message: str) -> None:
-    if not ok:
-        raise ConfigError(path, message)
-
-
-_KINDS = {int: "integer", float: "number", str: "string"}
-
-
-def _is_kind(kind, value) -> bool:
-    if kind is str:
-        return isinstance(value, str)
-    return is_json_int(value) or (kind is float and isinstance(value, float))
-
-
-def _typed(path: str, hint, value):
-    """value checked against its field's annotated type; a dataclass field is built from its object."""
-    if is_dataclass(hint):
-        return _build(path, hint, value)
-    if get_origin(hint) is tuple:
-        kind = get_args(hint)[0]
-        if not isinstance(value, list) or not all(_is_kind(kind, v) for v in value):
-            raise ConfigError(path, f"must be a list of JSON {_KINDS[kind]}s, got {value!r}")
-    elif not _is_kind(hint, value):
-        raise ConfigError(path, f"must be a JSON {_KINDS[hint]}, got {value!r}")
-    return value
-
-
-def _kwargs(path: str, factory, payload, skip=()) -> dict:
-    """Keyword arguments for ``factory`` from a JSON object, each value type-checked."""
+def _build(path: str, cls, payload, **given):
+    """``cls`` from the JSON object ``payload`` and ``given``; its own ConfigError is re-raised under ``path``."""
     if not isinstance(payload, dict):
         raise ConfigError(path, "must be an object")
-    hints = get_type_hints(factory)
-    kwargs = {}
+    kinds = field_types(cls)
+    kwargs = dict(given)
     for key, value in payload.items():
         where = f"{path}.{key}" if path else key
-        if key not in hints or key in skip:
+        if key not in kinds or key in given:
             raise ConfigError(where, "unknown config field")
-        kwargs[key] = _typed(where, hints[key], value)
-    return kwargs
-
-
-def _build(path: str, factory, payload):
-    kwargs = _kwargs(path, factory, payload)
+        kwargs[key] = _build(where, kinds[key][0], value) if is_dataclass(kinds[key][0]) else value
     try:
-        return factory(**kwargs)
-    except ConfigError:
-        raise
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}" if path else exc.path, exc.message) from None
     except TypeError as exc:
         raise ConfigError(path, f"missing field ({exc})") from exc
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
-    doc = dict(doc)
-    data = doc.pop("data", None)
-    manifest = None
-    synth = None
-    if data is not None:
-        if not isinstance(data, dict) or len(data) != 1:
-            raise ConfigError("data", "must be an object with exactly one of 'manifest' or 'synth'")
-        if "manifest" in data:
-            manifest = _typed("data.manifest", str, data["manifest"])
-        elif "synth" in data:
-            synth = _build("data.synth", SynthSpec, data["synth"])
-        else:
-            raise ConfigError("data", "must contain 'manifest' or 'synth'")
-    # the data source is given only through the "data" block
-    return RunConfig(manifest=manifest, synth=synth, **_kwargs("", RunConfig, doc, skip=("manifest", "synth")))
+    data = doc.get("data", {})
+    if not isinstance(data, dict) or len(data) > 1 or not data.keys() <= DATA_PATHS.keys():
+        raise ConfigError("data", "must be an object with exactly one of 'manifest' or 'synth'")
+    synth = _build("data.synth", SynthSpec, data["synth"]) if "synth" in data else None
+    rest = {key: value for key, value in doc.items() if key != "data"}
+    return _build("", RunConfig, rest, manifest=data.get("manifest"), synth=synth)
 
 
 def load_config(path) -> RunConfig:

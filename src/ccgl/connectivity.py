@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import PCD_SIZE, RoiTimeSeries
+from .cohort import PCD_SIZE, RoiTimeSeries, check_types, require
 
 CONDITION_LIMIT = 1e12
 
@@ -35,9 +35,12 @@ class CorrelationMatrix:
             raise ValueError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
+    @classmethod
+    def symmetrized(cls, raw: np.ndarray):
+        """The matrix from a nearly symmetric estimate: (raw + raw.T) / 2, clipped to [-1, 1], unit diagonal."""
+        values = np.clip((raw + raw.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(values, 1.0)
+        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,9 @@ class EdgePolicy:
     shrinkage: float = 0.1
 
     def __post_init__(self):
-        if self.per_node_top < 1:
-            raise ValueError(f"per_node_top must be >= 1, got {self.per_node_top}")
-        if not (0.0 <= self.shrinkage <= 1.0):
-            raise ValueError(f"shrinkage must be in [0, 1], got {self.shrinkage}")
+        check_types(self)
+        require(self, "per_node_top", self.per_node_top >= 1, "must be >= 1")
+        require(self, "shrinkage", 0.0 <= self.shrinkage <= 1.0, "must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,7 @@ def pearson_matrix(view: RoiTimeSeries) -> CorrelationMatrix:
     if zero.size:
         raise ValueError(f"constant column: roi {zero[0]} has zero variance")
     cov = centered.T @ centered / (x.shape[0] - 1)
-    corr = cov / np.outer(std, std)
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(corr)
+    return CorrelationMatrix.symmetrized(cov / np.outer(std, std))
 
 
 def partial_corr_matrix(view: RoiTimeSeries, shrinkage: float = 0.1) -> CorrelationMatrix:
@@ -136,10 +135,7 @@ def partial_corr_matrix(view: RoiTimeSeries, shrinkage: float = 0.1) -> Correlat
         )
     precision = np.linalg.inv(shrunk)
     d = np.sqrt(np.diag(precision))
-    pcorr = -precision / np.outer(d, d)
-    pcorr = np.clip((pcorr + pcorr.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(pcorr, 1.0)
-    return CorrelationMatrix(pcorr)
+    return CorrelationMatrix.symmetrized(-precision / np.outer(d, d))
 
 
 def build_fc_graph(view: RoiTimeSeries, pcd: np.ndarray, policy: EdgePolicy = EdgePolicy()) -> ViewGraph:

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, glorot
 from .cohort import Cohort, slice_views, standardized_pcd
 from .config import EncoderSettings, RunConfig
-from .connectivity import ViewGraph, build_fc_graph
+from .connectivity import CorrelationMatrix, ViewGraph, build_fc_graph
 from .spectral import ScaledLaplacian, induced_laplacian, normalized_laplacian
 
 # z-scored personal characteristics are rescaled to sit at the magnitude of
@@ -28,25 +28,14 @@ PCD_FEATURE_SCALE = 0.05
 
 
 @dataclass(frozen=True)
-class AttractionMatrix:
+class AttractionMatrix(CorrelationMatrix):
     """Pairwise cosine similarities among 2N view embeddings, laid out as ``pair_split`` reads them."""
 
-    values: np.ndarray
-
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        n = arr.shape[0]
-        if arr.ndim != 2 or arr.shape != (n, n):
-            raise ValueError(f"attraction matrix must be square, got {arr.shape}")
+        n = len(self.values)
         if n == 0 or n % 2:
             raise ValueError(f"attraction matrix needs 2N rows (two views per patient, N >= 1), got {n}")
-        if not np.allclose(arr, arr.T, atol=1e-9):
-            raise ValueError("attraction matrix must be symmetric")
-        if not np.allclose(np.diag(arr), 1.0, atol=1e-9):
-            raise ValueError("attraction matrix must have unit diagonal")
-        if arr.min() < -1.0 - 1e-9 or arr.max() > 1.0 + 1e-9:
-            raise ValueError("attraction entries must lie in [-1, 1]")
-        object.__setattr__(self, "values", arr)
+        super().__post_init__()
 
 
 def pair_partner(two_n: int) -> np.ndarray:
@@ -176,16 +165,13 @@ def similarity_matrix(embeddings: np.ndarray) -> AttractionMatrix:
     Rows 2i and 2i+1 are taken as patient i's two views (see ``pair_split``).
     """
     e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 2 or e.shape[0] % 2 != 0 or e.shape[0] == 0:
-        raise ValueError(f"embeddings must be (2N, d) with N >= 1, got {e.shape}")
+    if e.ndim != 2:
+        raise ValueError(f"embeddings must be (2N, d), got {e.shape}")
     norms = np.linalg.norm(e, axis=1)
     if np.any(norms == 0.0):
         raise ValueError(f"zero-norm embedding at row {int(np.flatnonzero(norms == 0.0)[0])}")
     unit = e / norms[:, None]
-    m = unit @ unit.T
-    m = np.clip((m + m.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(m, 1.0)
-    return AttractionMatrix(values=m)
+    return AttractionMatrix.symmetrized(unit @ unit.T)
 
 
 def contrastive_loss(m: AttractionMatrix, tau: float) -> float:

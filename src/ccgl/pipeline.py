@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import load_checkpoint, save_checkpoint
+from .autodiff import atomic_write, load_checkpoint, save_checkpoint
 from .cohort import Cohort, PatientRecord, RoiTimeSeries, load_cohort, split_cohort, standardized_pcd, synth_cohort
 from .config import RunConfig, save_config
 from .connectivity import pearson_matrix
@@ -55,28 +55,37 @@ def save_snapshot(cohort: Cohort, out: Path) -> None:
             for p in cohort.patients
         ],
     }
-    with open(out / "cohort.json", "w") as fh:
+    with atomic_write(out / "cohort.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    np.savez(out / "series.npz", **{p.id: p.series.values for p in cohort.patients})
+    with atomic_write(out / "series.npz", "wb") as fh:
+        np.savez(fh, **{p.id: p.series.values for p in cohort.patients})
 
 
 def load_snapshot(run_dir: Path) -> Cohort:
+    """The cohort ``save_snapshot`` wrote; a damaged file raises a ValueError naming it."""
     meta_path = _require(run_dir / "cohort.json", "cohort snapshot")
     series_path = _require(run_dir / "series.npz", "cohort series")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    with np.load(series_path) as series:
-        patients = tuple(
-            PatientRecord(
-                id=entry["id"],
-                series=RoiTimeSeries(series[entry["id"]]),
-                pcd=np.asarray(entry["pcd"]),
-                label=int(entry["label"]),
-                site=entry["site"],
-                split=entry["split"],
-            )
-            for entry in meta["patients"]
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"cohort snapshot {meta_path} is not valid JSON: {exc}") from None
+    try:
+        with np.load(series_path) as archive:
+            series = dict(archive)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cohort series {series_path} is unreadable: {exc}") from None
+    patients = tuple(
+        PatientRecord(
+            id=entry["id"],
+            series=RoiTimeSeries(series[entry["id"]]),
+            pcd=np.asarray(entry["pcd"]),
+            label=int(entry["label"]),
+            site=entry["site"],
+            split=entry["split"],
         )
+        for entry in meta["patients"]
+    )
     return Cohort(patients=patients, roi_count=int(meta["roi_count"]))
 
 
@@ -87,7 +96,7 @@ def stage_data(cfg: RunConfig, seed: int) -> Cohort:
     if cfg.synth is not None:
         cohort = synth_cohort(cfg.synth, seed)
     else:
-        cohort = load_cohort(cfg.manifest, cfg.min_window_length)
+        cohort = load_cohort(cfg.manifest, cfg.n_views * cfg.min_window_length)
     cohort = split_cohort(cohort, cfg.split_ratios, seed)
     save_snapshot(cohort, out)
     save_config(cfg.with_seed(seed), out / "effective_config.json")
@@ -123,15 +132,14 @@ def stage_train_cgl(cfg: RunConfig, seed: int):
     save_checkpoint(params, out / "cgl_params.json")
     _write_history_csv(history, out / "cgl_history.csv", ["epoch", "loss", "mean_homo", "mean_heter"])
     embeddings = np.asarray(embed_cohort(cohort, params, cfg, prepared=prepared), dtype=np.float64)
-    partial = out / "embeddings.npz.partial"
-    with open(partial, "wb") as fh:
+    with atomic_write(out / "embeddings.npz", "wb") as fh:
         np.savez(fh, embeddings=embeddings, cgl_params_sha256=_sha256(out / "cgl_params.json"))
-    os.replace(partial, out / "embeddings.npz")
     return params, history
 
 
-def _load_embeddings(out: Path, cohort: Cohort) -> np.ndarray:
-    """The (N, V, d) embeddings train-cgl wrote, refused unless they match its checkpoint and the cohort."""
+def _load_population(out: Path):
+    """(cohort, embeddings, population graph); train-cgl's (N, V, d) embeddings must match its checkpoint and the cohort."""
+    cohort = load_snapshot(out)
     digest = _sha256(_require(out / "cgl_params.json", "CGL checkpoint"))
     path = _require(out / "embeddings.npz", "cohort embeddings")
     with np.load(path) as archive:
@@ -143,13 +151,12 @@ def _load_embeddings(out: Path, cohort: Cohort) -> np.ndarray:
             f"{path} holds {embeddings.shape[0]} patients but the cohort snapshot has "
             f"{len(cohort.patients)}; re-run train-cgl"
         )
-    return embeddings
+    return cohort, embeddings, population_from_embeddings(cohort, embeddings)
 
 
 def stage_train_dgc(cfg: RunConfig, seed: int):
     out = seed_dir(cfg, seed)
-    cohort = load_snapshot(out)
-    pop = population_from_embeddings(cohort, _load_embeddings(out, cohort))
+    _, _, pop = _load_population(out)
     params, history = train_dgc(pop, cfg, seed)
     save_checkpoint(params, out / "dgc_params.json")
     _write_history_csv(history, out / "dgc_history.csv", ["epoch", "loss", "val_metric"])
@@ -170,11 +177,8 @@ def baseline_fc_features(cohort: Cohort) -> np.ndarray:
 def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
     """Score the trained pipeline on the test split and archive all reports."""
     out = seed_dir(cfg, seed)
-    cohort = load_snapshot(out)
-    embeddings = _load_embeddings(out, cohort)
+    cohort, embeddings, pop = _load_population(out)
     dgc_params = load_checkpoint(_require(out / "dgc_params.json", "DGC checkpoint"))
-
-    pop = population_from_embeddings(cohort, embeddings)
     probs = dgc_forward(pop, dgc_params, settings=cfg.dgc)
     predicted = probs.argmax(axis=1)
 
@@ -215,8 +219,7 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
 
 def stage_export(cfg: RunConfig, seed: int):
     out = seed_dir(cfg, seed)
-    cohort = load_snapshot(out)
-    pop = population_from_embeddings(cohort, _load_embeddings(out, cohort))
+    cohort, _, pop = _load_population(out)
     paths = []
     for fmt in ("dot", "graphml"):
         paths.append(

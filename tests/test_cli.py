@@ -6,8 +6,19 @@ import pytest
 from ccgl import encoder, pipeline
 from ccgl.autodiff import load_checkpoint, save_checkpoint
 from ccgl.cli import main
-from ccgl.cohort import SynthSpec
-from ccgl.config import ConfigError, RunConfig, config_from_dict, default_config, load_config, save_config
+from ccgl.cohort import SynthSpec, split_cohort
+from ccgl.config import (
+    ConfigError,
+    DgcSettings,
+    EncoderSettings,
+    RunConfig,
+    TrainSettings,
+    config_from_dict,
+    default_config,
+    load_config,
+    save_config,
+)
+from ccgl.connectivity import EdgePolicy
 from ccgl.pipeline import load_snapshot, run_pipeline, stage_data, stage_evaluate, stage_export, stage_train_cgl, stage_train_dgc
 
 
@@ -148,7 +159,7 @@ class TestConfig:
     )
     def test_python_built_values_are_not_coerced(self, field, value):
         spec = dict(n_patients=10, n_rois=8, n_timepoints=160)
-        with pytest.raises(ValueError, match=rf"^{field}:? must (hold|be a sequence of) (integers|numbers), got "):
+        with pytest.raises(ValueError, match=rf"^{field}: must be a list of JSON (integers|numbers), got "):
             if field == "subtypes_per_class":
                 SynthSpec(**spec, subtypes_per_class=value)
             else:
@@ -165,6 +176,136 @@ class TestConfig:
         doc["data"]["synth"]["n_patients"] = 2
         with pytest.raises(ConfigError, match="data.synth"):
             config_from_dict(doc)
+
+
+SPEC = dict(n_patients=10, n_rois=8, n_timepoints=160)
+SETTINGS = {"encoder": EncoderSettings, "dgc": DgcSettings, "train": TrainSettings, "edge_policy": EdgePolicy}
+
+
+def json_built(path, value):
+    """config_from_dict on the tiny config with ``value`` at the dotted ``path``."""
+    doc = tiny_config_dict("x")
+    *parents, key = path.split(".")
+    if path == "data.manifest":
+        doc["data"] = {}
+    block = doc
+    for name in parents:
+        block = block.setdefault(name, {})
+    block[key] = value
+    return config_from_dict(doc)
+
+
+def python_built(path, value):
+    """The dataclass that owns ``path``, built in Python with ``value`` in that field."""
+    *parents, key = path.split(".")
+    if parents == ["data", "synth"]:
+        return SynthSpec(**SPEC, **{key: value})
+    if parents == ["data"]:
+        return RunConfig(**{key: value})
+    if parents:
+        return SETTINGS[parents[0]](**{key: value})
+    return RunConfig(synth=SynthSpec(**SPEC), **{key: value})
+
+
+class TestConfigOwners:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("encoder.hidden1", True),
+            ("encoder.hidden1", "x"),
+            ("encoder.hidden1", 2.5),
+            ("train.batch_size", 2.5),
+            ("dgc.k", True),
+            ("n_views", 2.0),
+            ("edge_policy.per_node_top", 2.5),
+            ("out_dir", 5),
+            ("dgc.aggregation", 1),
+            ("data.manifest", 5),
+            ("seeds", [1.7, True]),
+            ("seeds", 3),
+            ("split_ratios", [0.7, True, 0.2]),
+            ("split_ratios", ["0.7", 0.1, 0.2]),
+            ("data.synth.subtypes_per_class", [1.9, True]),
+            ("data.synth.subtypes_per_class", 2),
+        ],
+    )
+    def test_json_and_python_give_one_message(self, path, value):
+        with pytest.raises(ConfigError) as from_json:
+            json_built(path, value)
+        with pytest.raises(ConfigError) as from_python:
+            python_built(path, value)
+        assert from_json.value.path == path
+        assert from_python.value.message == from_json.value.message
+        assert str(from_json.value).endswith(str(from_python.value))
+        assert from_json.value.message.startswith(("must be a JSON ", "must be a list of JSON "))
+
+    def test_python_built_settings_are_range_checked(self):
+        with pytest.raises(ConfigError, match=r"^hidden1: must be >= 1, got 0$"):
+            EncoderSettings(hidden1=0)
+        with pytest.raises(ConfigError, match=r"^aggregation: must be 'sum' or 'max', got 'mean'$"):
+            DgcSettings(aggregation="mean")
+        with pytest.raises(ConfigError, match=r"^per_node_top: must be >= 1, got 0$"):
+            EdgePolicy(per_node_top=0)
+
+    def test_synth_range_error_names_its_path(self):
+        doc = tiny_config_dict("x")
+        doc["data"]["synth"]["n_patients"] = 2
+        with pytest.raises(ConfigError, match=r"^data\.synth\.n_patients: must be >= 4, got 2$"):
+            config_from_dict(doc)
+
+    def test_dict_in_place_of_a_settings_object_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^encoder: must be an instance of EncoderSettings, got \{"):
+            RunConfig(synth=SynthSpec(**SPEC), encoder={"hidden1": 8})
+
+    def test_numpy_numbers_become_builtins_and_save(self, tmp_path):
+        cfg = RunConfig(
+            synth=SynthSpec(n_patients=np.int64(10), n_rois=8, n_timepoints=160, noise_level=np.float32(0.25)),
+            n_views=np.int64(3),
+            encoder=EncoderSettings(hidden1=np.int32(8), tau=np.float64(0.2)),
+        )
+        for value, kind in ((cfg.synth.n_patients, int), (cfg.synth.noise_level, float), (cfg.n_views, int)):
+            assert type(value) is kind
+        assert type(cfg.encoder.hidden1) is int and type(cfg.encoder.tau) is float
+        save_config(cfg, tmp_path / "cfg.json")
+        doc = json.loads((tmp_path / "cfg.json").read_text())
+        assert doc["n_views"] == 3 and doc["encoder"]["hidden1"] == 8 and doc["data"]["synth"]["noise_level"] == 0.25
+        assert load_config(tmp_path / "cfg.json") == cfg
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.1, 0.2), (0.0, 0.5, 0.5), (0.7, 0.3), (1.2, -0.2, 0.0)])
+    def test_split_ratio_messages_match(self, ratios, small_cohort):
+        with pytest.raises(ConfigError) as from_config:
+            RunConfig(synth=SynthSpec(**SPEC), split_ratios=ratios)
+        with pytest.raises(ConfigError) as from_split:
+            split_cohort(small_cohort, ratios, 0)
+        assert (from_config.value.path, from_split.value.path) == ("split_ratios", "ratios")
+        assert from_config.value.message == from_split.value.message
+
+    def test_views_too_short_for_the_windows_exit_one(self, tmp_path, capsys):
+        doc = tiny_config_dict(tmp_path / "run")
+        doc["data"]["synth"]["n_timepoints"] = 60
+        doc["n_views"] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "data.synth.n_timepoints: must be >= n_views * min_window_length = 90, got 60" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_ingest_applies_the_window_rule(self, manifest_dir, tmp_path):
+        doc = tiny_config_dict(tmp_path / "run")
+        doc["data"] = {"manifest": str(manifest_dir / "manifest.json")}
+        doc["n_views"], doc["min_window_length"] = 3, 67
+        with pytest.raises(ValueError, match=r"series has 200 timepoints, needs >= 201$"):
+            stage_data(config_from_dict(doc), 0)
+
+    def test_short_windows_run_when_long_enough(self, tmp_path):
+        doc = tiny_config_dict(tmp_path / "run")
+        doc["data"]["synth"]["n_timepoints"] = 50
+        doc["min_window_length"] = 20
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        assert (tmp_path / "run" / "metrics.json").exists()
 
 
 class TestStages:
@@ -211,6 +352,25 @@ class TestStages:
         assert [p.split for p in loaded.patients] == [p.split for p in cohort.patients]
         for a, b in zip(loaded.patients, cohort.patients):
             assert np.array_equal(a.series.values, b.series.values)
+
+    def test_snapshot_leaves_no_partial_file(self, tmp_path):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        stage_data(cfg, 0)
+        names = sorted(path.name for path in (tmp_path / "run" / "seed_0").iterdir())
+        assert names == ["cohort.json", "effective_config.json", "series.npz"]
+
+    @pytest.mark.parametrize("name, match", [("cohort.json", "is not valid JSON"), ("series.npz", "is unreadable")])
+    def test_truncated_snapshot_names_the_file(self, tmp_path, name, match):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        stage_data(cfg, 0)
+        path = tmp_path / "run" / "seed_0" / name
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ValueError, match=match) as info:
+            load_snapshot(path.parent)
+        assert str(path) in str(info.value)
+        for stage in (stage_train_cgl, stage_train_dgc):
+            with pytest.raises(ValueError, match=match):
+                stage(cfg, 0)
 
     def test_missing_checkpoint_names_path(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))

@@ -23,6 +23,11 @@ class TestLoadCohort:
         assert cohort.roi_count == 16
         assert cohort.patients[0].series.values.shape == (200, 16)
 
+    def test_series_shorter_than_the_views_need_is_refused(self, manifest_dir):
+        with pytest.raises(ValueError, match=r"^patient 'p0': series has 200 timepoints, needs >= 201$"):
+            load_cohort(manifest_dir / "manifest.json", min_timepoints=201)
+        assert len(load_cohort(manifest_dir / "manifest.json", min_timepoints=200)) == 2
+
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"roi_count": 4, "patients": []}))

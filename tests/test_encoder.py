@@ -200,6 +200,14 @@ class TestSimilarityMatrix:
             AttractionMatrix(values=np.eye(rows))
 
 
+    @pytest.mark.parametrize("entry, match", [(np.nan, "non-finite"), (1e-9, "symmetric")])
+    def test_inherits_the_correlation_checks(self, entry, match):
+        values = np.eye(2)
+        values[0, 1] = entry
+        with pytest.raises(ValueError, match=match):
+            AttractionMatrix(values=values)
+
+
 class TestPairSplit:
     @pytest.mark.parametrize("n_patients", [1, 2, 5])
     def test_matches_per_row_loop(self, n_patients):
