@@ -176,8 +176,8 @@ def check_split_ratios(ratios, path: str) -> None:
     if len(ratios) != 3:
         raise ConfigError(path, f"must have 3 entries, got {len(ratios)}")
     values = [float(r) for r in ratios]
-    if min(values) < 0:
-        raise ConfigError(path, f"must be non-negative, got {values}")
+    if not all(0.0 <= v <= 1.0 for v in values):  # also refuses NaN and infinities
+        raise ConfigError(path, f"must each lie in [0, 1], got {values}")
     if abs(sum(values) - 1.0) > 1e-9:
         raise ConfigError(path, f"must sum to 1, got sum {sum(values)}")
     if values[0] <= 0:

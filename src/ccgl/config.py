@@ -91,10 +91,13 @@ class RunConfig:
         check_split_ratios(self.split_ratios, "split_ratios")
         require(self, "seeds", len(self.seeds) >= 1, "need at least one seed")
         require(self, "seeds", min(self.seeds, default=0) >= 0, "must be non-negative")
-        need = self.n_views * self.min_window_length  # slice_views' rule
-        if self.synth is not None and self.synth.n_timepoints < need:
-            rule = f"must be >= n_views * min_window_length = {need}"
+        if self.synth is not None and self.synth.n_timepoints < self.min_timepoints:
+            rule = f"must be >= n_views * min_window_length = {self.min_timepoints}"
             raise ConfigError("data.synth.n_timepoints", f"{rule}, got {self.synth.n_timepoints}")
+
+    @property
+    def min_timepoints(self) -> int:
+        return self.n_views * self.min_window_length  # the shortest series slice_views accepts
 
     def to_dict(self) -> dict:
         """The JSON document ``config_from_dict`` reads: every field, tuples as lists, the data source under "data"."""

@@ -160,10 +160,7 @@ def prepare_view(graph: ViewGraph) -> PreparedView:
 
 
 def similarity_matrix(embeddings: np.ndarray) -> AttractionMatrix:
-    """Cosine similarity between every ordered pair of view embeddings.
-
-    Rows 2i and 2i+1 are taken as patient i's two views (see ``pair_split``).
-    """
+    """Cosine similarity between every ordered pair of 2N view embeddings, laid out as ``AttractionMatrix``."""
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2:
         raise ValueError(f"embeddings must be (2N, d), got {e.shape}")

@@ -66,8 +66,7 @@ def load_snapshot(run_dir: Path) -> Cohort:
     meta_path = _require(run_dir / "cohort.json", "cohort snapshot")
     series_path = _require(run_dir / "series.npz", "cohort series")
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        meta = json.loads(meta_path.read_text())
     except ValueError as exc:
         raise ValueError(f"cohort snapshot {meta_path} is not valid JSON: {exc}") from None
     try:
@@ -96,7 +95,7 @@ def stage_data(cfg: RunConfig, seed: int) -> Cohort:
     if cfg.synth is not None:
         cohort = synth_cohort(cfg.synth, seed)
     else:
-        cohort = load_cohort(cfg.manifest, cfg.n_views * cfg.min_window_length)
+        cohort = load_cohort(cfg.manifest, cfg.min_timepoints)
     cohort = split_cohort(cohort, cfg.split_ratios, seed)
     save_snapshot(cohort, out)
     save_config(cfg.with_seed(seed), out / "effective_config.json")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -271,7 +272,9 @@ class TestConfigOwners:
         assert doc["n_views"] == 3 and doc["encoder"]["hidden1"] == 8 and doc["data"]["synth"]["noise_level"] == 0.25
         assert load_config(tmp_path / "cfg.json") == cfg
 
-    @pytest.mark.parametrize("ratios", [(0.5, 0.1, 0.2), (0.0, 0.5, 0.5), (0.7, 0.3), (1.2, -0.2, 0.0)])
+    @pytest.mark.parametrize(
+        "ratios", [(0.5, 0.1, 0.2), (0.0, 0.5, 0.5), (0.7, 0.3), (1.2, -0.2, 0.0), (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5)]
+    )
     def test_split_ratio_messages_match(self, ratios, small_cohort):
         with pytest.raises(ConfigError) as from_config:
             RunConfig(synth=SynthSpec(**SPEC), split_ratios=ratios)
