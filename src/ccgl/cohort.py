@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -17,9 +19,12 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .autodiff import atomic_write
+
 MIN_WINDOW_LENGTH = 30
 PCD_SIZE = 7
 VALID_SPLITS = ("train", "val", "test", "unassigned")
+ENTRY_FIELDS = ("id", "pcd", "label", "site", "split")  # a PatientRecord's JSON fields: all but the series
 
 # synthetic generator knobs: disorder shift of the IQ-like pcd entries, the
 # per-patient spread of the observation-noise scale around noise_level, and
@@ -57,6 +62,8 @@ class RoiTimeSeries:
 
 @dataclass(frozen=True)
 class PatientRecord:
+    """One patient; owns the entry rule that the manifest, the snapshot and Python callers share."""
+
     id: str
     series: RoiTimeSeries
     pcd: np.ndarray
@@ -65,16 +72,23 @@ class PatientRecord:
     split: str = "unassigned"
 
     def __post_init__(self):
-        pcd = np.asarray(self.pcd, dtype=np.float64)
-        if pcd.shape != (PCD_SIZE,):
-            raise ValueError(f"patient {self.id!r}: pcd must have length {PCD_SIZE}, got {pcd.shape}")
-        if not np.all(np.isfinite(pcd)):
-            raise ValueError(f"patient {self.id!r}: non-finite pcd value")
-        if self.label not in (0, 1):
-            raise ValueError(f"patient {self.id!r}: label must be 0 or 1, got {self.label}")
+        for name in ("id", "site", "split"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"field {name!r} must be a JSON string, got {getattr(self, name)!r}")
         if self.split not in VALID_SPLITS:
-            raise ValueError(f"patient {self.id!r}: unknown split {self.split!r}")
-        object.__setattr__(self, "pcd", pcd)
+            raise ValueError(f"field 'split' must be one of {VALID_SPLITS}, got {self.split!r}")
+        if not _accepts(int, self.label) or self.label not in (0, 1):
+            raise ValueError(f"field 'label' must be the integer 0 or 1, got {self.label!r}")
+        pcd = self.pcd.tolist() if isinstance(self.pcd, np.ndarray) else self.pcd
+        if not isinstance(pcd, (list, tuple)):
+            raise ValueError(f"field 'pcd' must be a list of {PCD_SIZE} numbers, got {pcd!r}")
+        if len(pcd) != PCD_SIZE:
+            raise ValueError(f"pcd has length {len(pcd)}, expected {PCD_SIZE}")
+        for k, value in enumerate(pcd):
+            if not _accepts(float, value):
+                raise ValueError(f"field 'pcd' item {k} must be a finite number, got {value!r}")
+        object.__setattr__(self, "pcd", np.asarray(self.pcd, dtype=np.float64))
+        object.__setattr__(self, "label", int(self.label))
 
 
 @dataclass(frozen=True)
@@ -83,18 +97,18 @@ class Cohort:
     roi_count: int
 
     def __post_init__(self):
+        if not _accepts(int, self.roi_count) or self.roi_count < 2:
+            raise ValueError(f"field 'roi_count' must be an integer >= 2, got {self.roi_count!r}")
+        object.__setattr__(self, "roi_count", int(self.roi_count))
         object.__setattr__(self, "patients", tuple(self.patients))
         if len(self.patients) == 0:
             raise ValueError("empty cohort")
-        ids = [p.id for p in self.patients]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ValueError(f"duplicate patient id {dup!r}")
-        for p in self.patients:
+        first = {}
+        for pos, p in enumerate(self.patients):
+            if first.setdefault(p.id, pos) != pos:
+                raise ValueError(f"duplicate patient id {p.id!r} (entries {first[p.id]} and {pos})")
             if p.series.n_rois != self.roi_count:
-                raise ValueError(
-                    f"patient {p.id!r}: has {p.series.n_rois} rois, cohort expects {self.roi_count}"
-                )
+                raise ValueError(f"patient {p.id!r} (entry {pos}): has {p.series.n_rois} rois, roi_count is {self.roi_count}")
 
     def __len__(self) -> int:
         return len(self.patients)
@@ -132,30 +146,33 @@ def field_types(cls) -> dict:
     return out
 
 
+def _finite(number) -> bool:
+    return -math.inf < number < math.inf  # False for NaN
+
+
 def _accepts(kind, value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, _ACCEPTED[kind])
+    """The JSON rule for one value: no boolean is a number, an integer takes no 2.5, and a number is finite."""
+    return not isinstance(value, bool) and isinstance(value, _ACCEPTED[kind]) and (kind is not float or _finite(value))
 
 
 def check_types(obj, paths=None) -> None:
     """Hold every field of the dataclass ``obj`` to the JSON config rule, storing numpy numbers as builtins.
 
-    No boolean is a number, an int field takes no 2.5, a str field only a
-    string, a tuple field a list or tuple of its kind (stored as a tuple), a
-    dataclass field only its type, and None only where annotated. ``paths``
-    renames fields in the ConfigError.
+    No boolean is a number, an int field takes no 2.5, a number is finite, a
+    str field only a string, a tuple field a list or tuple of its kind
+    (stored as a tuple), a dataclass field only its type, and None only
+    where annotated. ``paths`` renames fields in the ConfigError.
     """
     for name, (kind, is_tuple, optional) in field_types(type(obj)).items():
         value = getattr(obj, name)
         if is_tuple:
-            if type(value) is tuple and all(type(v) is kind for v in value):
+            if type(value) is tuple and all(type(v) is kind and (kind is not float or _finite(v)) for v in value):
                 continue
-        elif type(value) is kind or (value is None and optional):
+        elif (type(value) is kind and (kind is not float or _finite(value))) or (value is None and optional):
             continue
         path = paths.get(name, name) if paths else name
         if is_tuple:
-            if not isinstance(value, (list, tuple)) or not all(_accepts(kind, v) for v in value):
-                raise ConfigError(path, f"must be a list of JSON {_NOUNS[kind]}s, got {value!r}")
-            object.__setattr__(obj, name, tuple(kind(v) for v in value))
+            object.__setattr__(obj, name, json_list(kind, value, path))
         elif is_dataclass(kind):
             if not isinstance(value, kind):
                 raise ConfigError(path, f"must be an instance of {kind.__name__}, got {value!r}")
@@ -165,23 +182,31 @@ def check_types(obj, paths=None) -> None:
             raise ConfigError(path, f"must be a JSON {_NOUNS[kind]}, got {value!r}")
 
 
+def json_list(kind, value, path: str) -> tuple:
+    """A list or tuple of JSON values of ``kind`` as a tuple of ``kind``; anything else is a ConfigError at ``path``."""
+    if not isinstance(value, (list, tuple)) or not all(_accepts(kind, v) for v in value):
+        raise ConfigError(path, f"must be a list of JSON {_NOUNS[kind]}s, got {value!r}")
+    return tuple(map(kind, value))
+
+
 def require(obj, name: str, ok: bool, rule: str) -> None:
     """Raise a ConfigError naming field ``name`` of ``obj`` and its value unless ``ok``."""
     if not ok:
         raise ConfigError(name, f"{rule}, got {getattr(obj, name)!r}")
 
 
-def check_split_ratios(ratios, path: str) -> None:
-    """Raise a ConfigError at ``path`` unless ``ratios`` are (train, val, test) shares of the cohort."""
-    if len(ratios) != 3:
-        raise ConfigError(path, f"must have 3 entries, got {len(ratios)}")
-    values = [float(r) for r in ratios]
-    if not all(0.0 <= v <= 1.0 for v in values):  # also refuses NaN and infinities
-        raise ConfigError(path, f"must each lie in [0, 1], got {values}")
+def check_split_ratios(ratios, path: str) -> tuple:
+    """``ratios`` as floats if they are (train, val, test) shares of the cohort, else a ConfigError at ``path``."""
+    values = json_list(float, ratios, path)
+    if len(values) != 3:
+        raise ConfigError(path, f"must have 3 entries, got {len(values)}")
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ConfigError(path, f"must each lie in [0, 1], got {list(values)}")
     if abs(sum(values) - 1.0) > 1e-9:
         raise ConfigError(path, f"must sum to 1, got sum {sum(values)}")
     if values[0] <= 0:
         raise ConfigError(path, "train ratio must be positive")
+    return values
 
 
 @dataclass(frozen=True)
@@ -208,85 +233,76 @@ class SynthSpec:
         require(self, "noise_level", self.noise_level >= 0, "must be >= 0")
 
 
+@contextmanager
+def _located(where: str):
+    """Re-raise a ValueError from the block with ``where`` in front of its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _read_cohort(kind: str, path: Path, keys: tuple, series_of) -> Cohort:
+    """The Cohort in the JSON file ``path``; each entry needs ``keys``, and ``series_of(entry)`` gives its (T, R) values.
+
+    Checks only the document's shape. PatientRecord and Cohort own the value
+    rules; any ValueError gets the file, the patient id and the entry in front.
+    """
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{kind} {path} is not valid JSON: {exc}") from None
+
+    def records():
+        for pos, entry in enumerate(doc["patients"]):
+            named = isinstance(entry, dict) and "id" in entry
+            with _located(f"patient {entry['id']!r} (entry {pos})" if named else f"entry {pos}"):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"must be a JSON object, got {entry!r}")
+                missing = [key for key in keys if key not in entry]
+                if missing:
+                    raise ValueError(f"missing field {missing[0]!r}")
+                fields = {key: entry[key] for key in ENTRY_FIELDS if key in keys}
+                record = PatientRecord(series=RoiTimeSeries(series_of(entry)), **fields)
+            yield record
+
+    with _located(f"{kind} {path}"):
+        if not isinstance(doc, dict):
+            raise ValueError(f"top level must be a JSON object, got {doc!r}")
+        if not isinstance(doc.get("patients"), list):
+            raise ValueError(f"field 'patients' must be a JSON list, got {doc.get('patients')!r}")
+        # Cohort checks roi_count before it draws the records, so before any series is read
+        return Cohort(patients=records(), roi_count=doc.get("roi_count"))
+
+
 def load_cohort(manifest_path, min_timepoints: int = 2 * MIN_WINDOW_LENGTH) -> Cohort:
     """Load a cohort from a JSON manifest plus one CSV of time series per patient.
 
     The manifest maps to ``{"roi_count": int, "patients": [...]}`` where each
     patient entry gives ``id``, ``csv`` (path relative to the manifest),
-    ``pcd`` (7 floats), ``label`` (0 or 1) and ``site``. Every series needs
+    ``pcd`` (7 numbers), ``label`` (0 or 1) and ``site``. Every series needs
     ``min_timepoints`` rows: n_views * min_window_length, for ``slice_views``.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ValueError(f"manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
 
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest {manifest_path}: top level must be a JSON object, got {manifest!r}")
-    if "roi_count" not in manifest or "patients" not in manifest:
-        raise ValueError(f"manifest {manifest_path}: needs 'roi_count' and 'patients' keys")
-    roi_count = manifest["roi_count"]
-    if not _accepts(int, roi_count) or roi_count < 2:
-        raise ValueError(f"manifest {manifest_path}: field 'roi_count' must be an integer >= 2, got {roi_count!r}")
-    entries = manifest["patients"]
-    if not isinstance(entries, list):
-        raise ValueError(f"manifest {manifest_path}: field 'patients' must be a JSON list, got {entries!r}")
-    if not entries:
-        raise ValueError("empty cohort")
-
-    patients = []
-    seen = set()
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"manifest entry {pos}: must be a JSON object, got {entry!r}")
-        pid = entry.get("id")
-        if pid is None:
-            raise ValueError(f"manifest entry {pos}: missing id")
-        if not isinstance(pid, str):
-            raise ValueError(f"manifest entry {pos}: field 'id' must be a JSON string, got {pid!r}")
-        if pid in seen:
-            raise ValueError(f"duplicate patient id {pid!r} (manifest entry {pos})")
-        seen.add(pid)
-        missing = [key for key in ("csv", "pcd", "label", "site") if key not in entry]
-        if missing:
-            raise ValueError(f"patient {pid!r} (entry {pos}): missing field {missing[0]!r}")
-        for key in ("csv", "site"):
-            if not isinstance(entry[key], str):
-                raise ValueError(f"patient {pid!r} (entry {pos}): field {key!r} must be a JSON string, got {entry[key]!r}")
-        label = entry["label"]
-        if not _accepts(int, label) or label not in (0, 1):
-            raise ValueError(f"patient {pid!r} (entry {pos}): field 'label' must be the integer 0 or 1, got {label!r}")
-        pcd = entry["pcd"]
-        if not isinstance(pcd, list):
-            raise ValueError(f"patient {pid!r} (entry {pos}): field 'pcd' must be a list of {PCD_SIZE} numbers, got {pcd!r}")
-        if len(pcd) != PCD_SIZE:
-            raise ValueError(f"patient {pid!r} (entry {pos}): pcd has length {len(pcd)}, expected {PCD_SIZE}")
-        for k, value in enumerate(pcd):
-            if not _accepts(float, value) or not math.isfinite(value):
-                raise ValueError(f"patient {pid!r} (entry {pos}): field 'pcd' item {k} must be a finite number, got {value!r}")
+    def csv_series(entry) -> np.ndarray:
+        if not isinstance(entry["csv"], str):
+            raise ValueError(f"field 'csv' must be a JSON string, got {entry['csv']!r}")
         csv_path = manifest_path.parent / entry["csv"]
-        if not csv_path.exists():
-            raise ValueError(f"patient {pid!r} (entry {pos}): csv not found: {csv_path}")
-        values = _read_series_csv(csv_path, pid, roi_count)
+        if not csv_path.is_file():
+            raise ValueError(f"csv not found: {csv_path}")
+        values = _read_series_csv(csv_path)
         if values.shape[0] < min_timepoints:
-            raise ValueError(f"patient {pid!r}: series has {values.shape[0]} timepoints, needs >= {min_timepoints}")
-        patients.append(
-            PatientRecord(
-                id=pid,
-                series=RoiTimeSeries(values),
-                pcd=np.asarray(pcd, dtype=np.float64),
-                label=label,
-                site=entry["site"],
-            )
-        )
-    return Cohort(patients=tuple(patients), roi_count=roi_count)
+            raise ValueError(f"series has {values.shape[0]} timepoints, needs >= {min_timepoints}")
+        return values
+
+    return _read_cohort("manifest", manifest_path, ("id", "csv", "pcd", "label", "site"), csv_series)
 
 
-def _read_series_csv(csv_path: Path, pid: str, roi_count: int) -> np.ndarray:
+def _read_series_csv(csv_path: Path) -> np.ndarray:
+    """The rows of ``csv_path`` as a (T, R) array; every row needs as many values as the first."""
     rows = []
     with open(csv_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -294,23 +310,49 @@ def _read_series_csv(csv_path: Path, pid: str, roi_count: int) -> np.ndarray:
             if not line:
                 continue
             cells = line.split(",")
-            if len(cells) != roi_count:
-                raise ValueError(
-                    f"patient {pid!r}: {csv_path.name} row {lineno} has {len(cells)} values, expected {roi_count}"
-                )
+            if rows and len(cells) != len(rows[0]):
+                raise ValueError(f"{csv_path.name} row {lineno} has {len(cells)} values, expected {len(rows[0])}")
             try:
                 row = [float(c) for c in cells]
             except ValueError as exc:
-                raise ValueError(f"patient {pid!r}: {csv_path.name} row {lineno}: unparseable value") from exc
+                raise ValueError(f"{csv_path.name} row {lineno}: unparseable value") from exc
             for col, v in enumerate(row):
                 if not np.isfinite(v):
-                    raise ValueError(
-                        f"patient {pid!r}: non-finite value in {csv_path.name} at row {lineno} column {col}"
-                    )
+                    raise ValueError(f"non-finite value in {csv_path.name} at row {lineno} column {col}")
             rows.append(row)
     if len(rows) < 2:
-        raise ValueError(f"patient {pid!r}: {csv_path.name} has fewer than 2 rows")
+        raise ValueError(f"{csv_path.name} has fewer than 2 rows")
     return np.asarray(rows, dtype=np.float64)
+
+
+def save_snapshot(cohort: Cohort, out: Path) -> None:
+    """Write ``cohort.json`` (every record field but the series) and ``series.npz`` (one array per id) under ``out``."""
+    entries = [{**{key: getattr(p, key) for key in ENTRY_FIELDS}, "pcd": p.pcd.tolist()} for p in cohort.patients]
+    meta = {"roi_count": cohort.roi_count, "patients": entries}
+    with atomic_write(out / "cohort.json") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+    with atomic_write(out / "series.npz", "wb") as fh:
+        np.savez(fh, **{p.id: p.series.values for p in cohort.patients})
+
+
+def load_snapshot(run_dir: Path) -> Cohort:
+    """The cohort ``save_snapshot`` wrote; a damaged or inconsistent file raises a ValueError naming it."""
+    series_path = run_dir / "series.npz"
+    if not series_path.exists():
+        raise FileNotFoundError(f"cohort series not found: {series_path}")
+    try:
+        with np.load(series_path) as archive:
+            series = dict(archive)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cohort series {series_path} is unreadable: {exc}") from None
+
+    def stored_series(entry) -> np.ndarray:
+        try:
+            return series[entry["id"]]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise ValueError(f"field 'id' names no array in {series_path}") from None
+
+    return _read_cohort("cohort snapshot", run_dir / "cohort.json", ENTRY_FIELDS, stored_series)
 
 
 def slice_views(series: RoiTimeSeries, n_views: int, min_window_length: int = MIN_WINDOW_LENGTH) -> list:
@@ -481,8 +523,7 @@ def split_cohort(cohort: Cohort, ratios, seed: int) -> Cohort:
     balance up to integer rounding. Any non-empty cell contributes at least
     one training patient. Deterministic for a fixed seed.
     """
-    check_split_ratios(ratios, "ratios")
-    ratios = np.asarray(ratios, dtype=np.float64)
+    ratios = np.asarray(check_split_ratios(ratios, "ratios"))
 
     cells = {}
     for idx, p in enumerate(cohort.patients):

@@ -27,9 +27,9 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be square, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("correlation matrix contains non-finite entries")
-        if not np.allclose(arr, arr.T, atol=1e-10):
+        if not np.allclose(arr, arr.T, rtol=0, atol=1e-10):
             raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(arr), 1.0, atol=1e-10):
+        if not np.allclose(np.diag(arr), 1.0, rtol=0, atol=1e-10):
             raise ValueError("correlation matrix must have unit diagonal")
         if arr.min() < -1.0 - 1e-10 or arr.max() > 1.0 + 1e-10:
             raise ValueError("correlation entries must lie in [-1, 1]")

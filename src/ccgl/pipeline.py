@@ -10,13 +10,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import atomic_write, load_checkpoint, save_checkpoint
-from .cohort import Cohort, PatientRecord, RoiTimeSeries, load_cohort, split_cohort, standardized_pcd, synth_cohort
+from .cohort import Cohort, load_cohort, load_snapshot, save_snapshot, split_cohort, standardized_pcd, synth_cohort
 from .config import RunConfig, save_config
 from .connectivity import pearson_matrix
 from .encoder import embed_cohort, prepare_views, similarity_matrix, train_cgl
@@ -39,53 +38,6 @@ def _require(path: Path, hint: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"{hint} not found: {path}")
     return path
-
-
-def save_snapshot(cohort: Cohort, out: Path) -> None:
-    meta = {
-        "roi_count": cohort.roi_count,
-        "patients": [
-            {
-                "id": p.id,
-                "pcd": p.pcd.tolist(),
-                "label": p.label,
-                "site": p.site,
-                "split": p.split,
-            }
-            for p in cohort.patients
-        ],
-    }
-    with atomic_write(out / "cohort.json") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    with atomic_write(out / "series.npz", "wb") as fh:
-        np.savez(fh, **{p.id: p.series.values for p in cohort.patients})
-
-
-def load_snapshot(run_dir: Path) -> Cohort:
-    """The cohort ``save_snapshot`` wrote; a damaged file raises a ValueError naming it."""
-    meta_path = _require(run_dir / "cohort.json", "cohort snapshot")
-    series_path = _require(run_dir / "series.npz", "cohort series")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"cohort snapshot {meta_path} is not valid JSON: {exc}") from None
-    try:
-        with np.load(series_path) as archive:
-            series = dict(archive)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"cohort series {series_path} is unreadable: {exc}") from None
-    patients = tuple(
-        PatientRecord(
-            id=entry["id"],
-            series=RoiTimeSeries(series[entry["id"]]),
-            pcd=np.asarray(entry["pcd"]),
-            label=int(entry["label"]),
-            site=entry["site"],
-            split=entry["split"],
-        )
-        for entry in meta["patients"]
-    )
-    return Cohort(patients=patients, roi_count=int(meta["roi_count"]))
 
 
 def stage_data(cfg: RunConfig, seed: int) -> Cohort:

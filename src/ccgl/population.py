@@ -240,9 +240,8 @@ def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edg
     return probs, edge_record
 
 
-def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings | None = None) -> np.ndarray:
-    """Class probabilities for every patient node; records the edges used."""
-    settings = settings or DgcSettings()
+def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings) -> np.ndarray:
+    """Class probabilities per patient node under the ``settings`` the params were trained with; records the edges used."""
     if pop.n_patients < 2:
         raise ValueError(f"population needs >= 2 patients, got {pop.n_patients}")
     probs, edges = _dgc_forward_t(pop.node_features, ad.make_leaves(params), settings)

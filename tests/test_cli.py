@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,7 @@ class TestConfig:
 
 
 SPEC = dict(n_patients=10, n_rois=8, n_timepoints=160)
+NUMBER_PATHS = ("train.cgl_lr", "encoder.tau", "dgc.gamma", "data.synth.noise_level")
 SETTINGS = {"encoder": EncoderSettings, "dgc": DgcSettings, "train": TrainSettings, "edge_policy": EdgePolicy}
 
 
@@ -228,6 +230,7 @@ class TestConfigOwners:
             ("split_ratios", ["0.7", 0.1, 0.2]),
             ("data.synth.subtypes_per_class", [1.9, True]),
             ("data.synth.subtypes_per_class", 2),
+            *[(path, value) for path in NUMBER_PATHS for value in (math.inf, -math.inf, math.nan)],
         ],
     )
     def test_json_and_python_give_one_message(self, path, value):
@@ -239,6 +242,22 @@ class TestConfigOwners:
         assert from_python.value.message == from_json.value.message
         assert str(from_json.value).endswith(str(from_python.value))
         assert from_json.value.message.startswith(("must be a JSON ", "must be a list of JSON "))
+
+    @pytest.mark.parametrize("path", NUMBER_PATHS)
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_json_literals_exit_one(self, tmp_path, capsys, path, literal):
+        doc = tiny_config_dict(tmp_path / "run")
+        *parents, key = path.split(".")
+        block = doc
+        for name in parents:
+            block = block[name]
+        block[key] = "LITERAL"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc).replace('"LITERAL"', literal))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be a JSON number, got (-?inf|nan)$"):
+            load_config(config)
+        assert main(["synth", "--config", str(config)]) == 1
+        assert f"config error: {path}: must be a JSON number" in capsys.readouterr().err
 
     def test_python_built_settings_are_range_checked(self):
         with pytest.raises(ConfigError, match=r"^hidden1: must be >= 1, got 0$"):
@@ -353,8 +372,10 @@ class TestStages:
         loaded = load_snapshot(tmp_path / "run" / "seed_0")
         assert [p.id for p in loaded.patients] == [p.id for p in cohort.patients]
         assert [p.split for p in loaded.patients] == [p.split for p in cohort.patients]
+        assert [(p.label, p.site) for p in loaded.patients] == [(p.label, p.site) for p in cohort.patients]
         for a, b in zip(loaded.patients, cohort.patients):
             assert np.array_equal(a.series.values, b.series.values)
+            assert a.pcd.tobytes() == b.pcd.tobytes()
 
     def test_snapshot_leaves_no_partial_file(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))

@@ -1,14 +1,23 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccgl.cohort import (
+    ENTRY_FIELDS,
     MIN_WINDOW_LENGTH,
+    VALID_SPLITS,
+    Cohort,
+    PatientRecord,
     RoiTimeSeries,
     SynthSpec,
     load_cohort,
+    load_snapshot,
+    save_snapshot,
     slice_views,
     split_cohort,
     standardized_pcd,
@@ -24,7 +33,8 @@ class TestLoadCohort:
         assert cohort.patients[0].series.values.shape == (200, 16)
 
     def test_series_shorter_than_the_views_need_is_refused(self, manifest_dir):
-        with pytest.raises(ValueError, match=r"^patient 'p0': series has 200 timepoints, needs >= 201$"):
+        where = re.escape(f"manifest {manifest_dir / 'manifest.json'}: patient 'p0' (entry 0)")
+        with pytest.raises(ValueError, match=rf"^{where}: series has 200 timepoints, needs >= 201$"):
             load_cohort(manifest_dir / "manifest.json", min_timepoints=201)
         assert len(load_cohort(manifest_dir / "manifest.json", min_timepoints=200)) == 2
 
@@ -119,7 +129,7 @@ class TestLoadCohort:
         "patients, named",
         [
             ({"p0": {}}, r"field 'patients' must be a JSON list, got \{'p0': \{\}\}"),
-            (["p0"], r"manifest entry 0: must be a JSON object, got 'p0'"),
+            (["p0"], r"manifest .*manifest\.json: entry 0: must be a JSON object, got 'p0'"),
         ],
         ids=["object", "string_entry"],
     )
@@ -134,7 +144,7 @@ class TestLoadCohort:
     @pytest.mark.parametrize(
         "field, value, named",
         [
-            ("id", 3, r"manifest entry 1: field 'id' must be a JSON string, got 3"),
+            ("id", 3, r"manifest .*manifest\.json: patient 3 \(entry 1\): field 'id' must be a JSON string, got 3"),
             ("site", 3, r"patient 'p1' \(entry 1\): field 'site' must be a JSON string, got 3"),
             ("site", None, r"patient 'p1' \(entry 1\): field 'site' must be a JSON string, got None"),
             ("csv", ["p1.csv"], r"patient 'p1' \(entry 1\): field 'csv' must be a JSON string, got \['p1.csv'\]"),
@@ -156,6 +166,152 @@ class TestLoadCohort:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"p1.*missing field 'site'"):
             load_cohort(manifest)
+
+
+@pytest.fixture(scope="module")
+def entry_files(tmp_path_factory):
+    """(directory, {source: document}) of a four-patient cohort saved as a CSV manifest and as a snapshot."""
+    root = tmp_path_factory.mktemp("entries")
+    cohort = synth_cohort(SynthSpec(n_patients=4, n_rois=3, n_timepoints=6), 0)
+    entries = []
+    for p in cohort.patients:
+        (root / f"{p.id}.csv").write_text("\n".join(",".join(map(repr, row)) for row in p.series.values.tolist()))
+        entries.append({"id": p.id, "csv": f"{p.id}.csv", "pcd": p.pcd.tolist(), "label": p.label, "site": p.site})
+    save_snapshot(cohort, root)
+    snapshot = json.loads((root / "cohort.json").read_text())
+    return root, {"manifest": {"roi_count": 3, "patients": entries}, "snapshot": snapshot}
+
+
+def load_mutated(root, source, doc):
+    """The cohort loaded after writing ``doc`` as the source's JSON file."""
+    (root / FILES[source]).write_text(json.dumps(doc))
+    return load_cohort(root / FILES[source], min_timepoints=2) if source == "manifest" else load_snapshot(root)
+
+
+FILES = {"manifest": "manifest.json", "snapshot": "cohort.json"}
+SOURCE_KEYS = {"manifest": ("id", "csv", "pcd", "label", "site"), "snapshot": ENTRY_FIELDS}
+# a bool, a float, a string, None, a list and an object
+ODD_VALUES = (True, 1.5, "1", None, [1.0], {"a": 1})
+
+
+@st.composite
+def mutations(draw, source):
+    """(key, value) for one entry; value None with key prefixed by "-" deletes the key."""
+    keys = SOURCE_KEYS[source]
+    return draw(
+        st.one_of(
+            st.sampled_from(keys).map(lambda key: ("-" + key, None)),
+            st.tuples(st.sampled_from(keys), st.sampled_from(ODD_VALUES)),
+            st.tuples(st.just("pcd"), st.lists(st.just(1.0), max_size=9).filter(lambda pcd: len(pcd) != 7)),
+            st.tuples(
+                st.just("pcd"),
+                st.tuples(st.integers(0, 6), st.sampled_from([math.nan, math.inf, -math.inf])).map(
+                    lambda bad: [bad[1] if k == bad[0] else 1.0 for k in range(7)]
+                ),
+            ),
+            st.tuples(st.just("split"), st.text(max_size=6)),
+            st.tuples(st.just("id"), st.text(max_size=6)),
+        )
+    )
+
+
+class TestEntryOwners:
+    """PatientRecord and Cohort own the entry rule for the manifest, the snapshot and Python callers alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), source=st.sampled_from(["manifest", "snapshot"]), pos=st.integers(0, 3))
+    def test_a_mutated_entry_is_refused_with_file_entry_and_field(self, entry_files, data, source, pos):
+        root, docs = entry_files
+        key, value = data.draw(mutations(source))
+        doc = json.loads(json.dumps(docs[source]))
+        entry = doc["patients"][pos]
+        if key.startswith("-"):
+            key = key[1:]
+            del entry[key]
+            legal = False
+        else:
+            others = [e["id"] for e in doc["patients"] if e is not entry]
+            unchanged = key in entry and type(entry[key]) is type(value) and entry[key] == value
+            legal = unchanged or {
+                "site": isinstance(value, str),
+                "id": source == "manifest" and isinstance(value, str) and value not in others,
+                "split": source == "manifest" or value in VALID_SPLITS,  # the manifest ignores a split key
+            }.get(key, False)
+            entry[key] = value
+        try:
+            cohort = load_mutated(root, source, doc)
+        except ValueError as exc:
+            message = str(exc)
+            assert not legal, message
+            kind = "manifest" if source == "manifest" else "cohort snapshot"
+            assert message.startswith(f"{kind} {root / FILES[source]}: "), message
+            assert re.search(rf"\bentr(y|ies)\b[^:]*\b{pos}\b", message), message
+            assert re.search(rf"\b{key}\b", message), message
+        else:
+            assert legal, (key, value)
+            if key in ("id", "site"):
+                assert getattr(cohort.patients[pos], key) == value
+            if source == "manifest":
+                assert all(p.split == "unassigned" for p in cohort.patients)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("label", "1", r"field 'label' must be the integer 0 or 1, got '1'"),
+            ("label", True, r"field 'label' must be the integer 0 or 1, got True"),
+            ("id", "zz", r"field 'id' names no array in .*series\.npz"),
+            ("site", None, r"field 'site' must be a JSON string, got None"),
+        ],
+    )
+    def test_snapshot_entry_is_not_coerced(self, entry_files, key, value, named):
+        root, docs = entry_files
+        doc = json.loads(json.dumps(docs["snapshot"]))
+        doc["patients"][2][key] = value
+        where = re.escape(f"cohort snapshot {root / 'cohort.json'}: patient {doc['patients'][2]['id']!r} (entry 2)")
+        with pytest.raises(ValueError, match=rf"^{where}: {named}$"):
+            load_mutated(root, "snapshot", doc)
+
+    def test_snapshot_without_a_site_names_it(self, entry_files):
+        root, docs = entry_files
+        doc = json.loads(json.dumps(docs["snapshot"]))
+        del doc["patients"][1]["site"]
+        with pytest.raises(ValueError, match=r"cohort\.json: patient 'p1' \(entry 1\): missing field 'site'$"):
+            load_mutated(root, "snapshot", doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("label", True), ("label", 1.0), ("pcd", ["1"] * 7), ("pcd", [True] * 7), ("id", 5), ("site", 3)],
+    )
+    def test_python_built_record_is_held_to_the_entry_rule(self, field, value):
+        fields = dict(id="p0", series=RoiTimeSeries(np.eye(3)), pcd=np.zeros(7), label=0, site="s")
+        with pytest.raises(ValueError, match=rf"^field '{field}'"):
+            PatientRecord(**{**fields, field: value})
+
+    def test_numpy_values_are_stored_as_builtins(self):
+        series = RoiTimeSeries(np.eye(3))
+        record = PatientRecord(id="p0", series=series, pcd=np.arange(7, dtype=np.int32), label=np.int64(1), site="s")
+        assert type(record.label) is int and record.pcd.dtype == np.float64
+        assert type(Cohort(patients=[record], roi_count=np.int64(3)).roi_count) is int
+
+    def test_duplicate_id_names_both_entries(self, small_cohort):
+        patients = [*small_cohort.patients[:3], small_cohort.patients[1]]
+        with pytest.raises(ValueError, match=rf"^duplicate patient id {small_cohort.patients[1].id!r} \(entries 1 and 3\)$"):
+            Cohort(patients=patients, roi_count=small_cohort.roi_count)
+
+    def test_roi_count_is_checked_before_any_csv_is_read(self, manifest_dir):
+        manifest = manifest_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["roi_count"] = 1
+        manifest.write_text(json.dumps(doc))
+        (manifest_dir / "p0.csv").write_text("not,a,series\n")
+        with pytest.raises(ValueError, match=r"manifest\.json: field 'roi_count' must be an integer >= 2, got 1$"):
+            load_cohort(manifest)
+
+    @pytest.mark.parametrize("roi_count", [True, 8.0, "8", 1])
+    def test_roi_count_is_an_integer_of_at_least_two(self, small_cohort, roi_count):
+        rule = re.escape(f"field 'roi_count' must be an integer >= 2, got {roi_count!r}")
+        with pytest.raises(ValueError, match=rf"^{rule}$"):
+            Cohort(patients=small_cohort.patients, roi_count=roi_count)
 
 
 class TestSliceViews:

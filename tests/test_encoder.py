@@ -200,10 +200,20 @@ class TestSimilarityMatrix:
             AttractionMatrix(values=np.eye(rows))
 
 
-    @pytest.mark.parametrize("entry, match", [(np.nan, "non-finite"), (1e-9, "symmetric")])
-    def test_inherits_the_correlation_checks(self, entry, match):
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            pytest.param({(0, 1): np.nan}, "non-finite", id="nan-non-finite"),
+            pytest.param({(0, 1): 1e-9}, "symmetric", id="1e-09-symmetric"),
+            pytest.param({(0, 1): 0.5, (1, 0): 0.5 + 4e-6}, "symmetric", id="relative-asymmetry"),
+            pytest.param({(1, 1): 1.0 + 4e-6}, "unit diagonal", id="relative-diagonal"),
+            pytest.param({(1, 1): 1.0 - 4e-6}, "unit diagonal", id="relative-diagonal-below"),
+        ],
+    )
+    def test_inherits_the_correlation_checks(self, entries, match):
         values = np.eye(2)
-        values[0, 1] = entry
+        for cell, value in entries.items():
+            values[cell] = value
         with pytest.raises(ValueError, match=match):
             AttractionMatrix(values=values)
 

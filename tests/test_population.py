@@ -220,6 +220,13 @@ class TestDgcForward:
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
         assert set(pop.current_edges) == {"layer1", "layer2"}
 
+    def test_settings_are_required(self):
+        # parameters trained under one aggregation and k give other probabilities under the defaults
+        pop = random_population(4)
+        params = init_dgc_params(6, DgcSettings(k=3, hidden1=5, hidden2=4), seed=0)
+        with pytest.raises(TypeError, match="settings"):
+            dgc_forward(pop, params)
+
     def test_deterministic(self):
         pop = random_population(5)
         settings = DgcSettings(k=2, hidden1=5, hidden2=4)
