@@ -5,8 +5,10 @@
 
 The desk benchmark workload always runs seed 0; this script runs any seed
 directly, stage by stage, with BLAS pinned to one thread as the benchmark
-does. It prints one JSON object: wall time per stage, the run's test AUC and
-KNN-baseline AUC, and the sha256 of every artifact in the seed directory
+does. It prints one JSON object: wall time and minor page faults per stage
+(``stage_minflt``, from ``getrusage`` deltas of this process; steadier than
+wall time on a shared host), the run's test AUC and KNN-baseline AUC, and
+the sha256 of every artifact in the seed directory
 (``effective_config.json`` and ``series.npz`` hold the output path, so
 compare those two only between runs with the same ``--out``).
 
@@ -24,6 +26,7 @@ os.environ.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREA
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -45,11 +48,7 @@ def main() -> None:
         parser.error(f"--against holds seed {previous['seed']}, not {args.seed}")
 
     cfg = desk_config().with_seed(args.seed).with_out_dir(args.out)
-    times = {}
-    for stage in STAGES:
-        t0 = time.perf_counter()
-        getattr(pipeline, stage)(cfg, args.seed)
-        times[stage] = round(time.perf_counter() - t0, 4)
+    times, faults = run_stages(cfg, args.seed)
     run_dir = pipeline.seed_dir(cfg, args.seed)
     report = json.loads((run_dir / "metrics_run.json").read_text())
     hashes = {
@@ -62,6 +61,7 @@ def main() -> None:
             {
                 "seed": args.seed,
                 "stage_s": times,
+                "stage_minflt": faults,
                 "total_s": round(sum(times.values()), 4),
                 "test_auc": report["auc"],
                 "knn_baseline_auc": report["knn_baseline_auc"],
@@ -72,6 +72,18 @@ def main() -> None:
     )
     if previous is not None:
         sys.exit(compare(previous["sha256"], hashes, args.against))
+
+
+def run_stages(cfg, seed: int):
+    """Run the five stages in order; return each one's wall seconds and minor page faults."""
+    times, faults = {}, {}
+    for stage in STAGES:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        getattr(pipeline, stage)(cfg, seed)
+        times[stage] = round(time.perf_counter() - t0, 4)
+        faults[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return times, faults
 
 
 def compare(before: dict, after: dict, label: str) -> int:

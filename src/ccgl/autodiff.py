@@ -370,22 +370,30 @@ def make_leaves(params: ParamStore) -> dict:
     return {name: Tensor(val) for name, val in params.values.items()}
 
 
-def leaf_grads(leaves: dict) -> dict:
-    """Each leaf's gradient after ``backward``; leaves the loss never touched get zeros."""
+def _gradients(leaves: dict, loss) -> dict:
+    """Run ``backward`` from ``loss`` and return each leaf's gradient; leaves it never touched get zeros."""
+    if not isinstance(loss, Tensor):
+        raise ValueError("computation must return a Tensor")
+    backward(loss)
     return {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)) for name, leaf in leaves.items()}
 
 
 def forward_backward(f, params: ParamStore, *inputs):
-    """Run f(leaves, *inputs) to a scalar and return (value, per-parameter grads).
-
-    Parameters the computation never touches map to zero gradients.
-    """
+    """Run f(leaves, *inputs) to a scalar and return (value, per-parameter grads, zeros where untouched)."""
     leaves = make_leaves(params)
     out = f(leaves, *inputs)
-    if not isinstance(out, Tensor):
-        raise ValueError("computation must return a Tensor")
-    backward(out)
-    return float(out.data.reshape(())), leaf_grads(leaves)
+    grads = _gradients(leaves, out)
+    return float(out.data.reshape(())), grads
+
+
+def train_step(store: ParamStore, leaves: dict, loss: Tensor, lr: float, where: str):
+    """One Adam step on ``loss``, built from ``leaves = make_leaves(store)``; returns (loss value, new store).
+
+    A non-finite loss raises ``ValueError("non-finite <where>")`` before ``backward`` runs."""
+    value = loss.data.item()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {where}")
+    return value, adam_step(store, _gradients(leaves, loss), lr)
 
 
 def grad_check(f, params: ParamStore, eps: float = 1e-5, samples: int = 30, seed: int = 0) -> float:

@@ -147,7 +147,10 @@ def field_types(cls) -> dict:
 
 
 def _finite(number) -> bool:
-    return -math.inf < number < math.inf  # False for NaN
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int too large for a float64
+        return False
 
 
 def _accepts(kind, value) -> bool:

@@ -117,19 +117,19 @@ def _topk_pool_t(v: Tensor, score_vec: Tensor, ratio: float):
     norm = ad.sqrt(ad.reduce_sum(ad.mul(score_vec, score_vec)))
     scores = ad.matmul(v, ad.div(score_vec, norm))
     n_keep = max(1, int(math.ceil(ratio * v.shape[1])))
-    order = np.argsort(-scores.data[..., 0], axis=1, kind="stable")
+    order = np.argsort(-ad.value(scores)[..., 0], axis=1, kind="stable")
     kept = np.sort(order[:, :n_keep], axis=1)
     index = (np.arange(kept.shape[0])[:, None], kept)
     gated = ad.mul(ad.take(v, index), ad.tanh(ad.take(scores, index)))
     return gated, kept
 
 
-def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) -> Tensor:
+def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None):
     """Forward prepared views that share R and F to unit-length (B, d) embeddings on one tape.
 
     Block 1 filters the numpy features, which are constants on the tape;
     block 2 filters by the stacked Laplacians of the subgraphs block 1 kept.
-    ``names`` labels the views in errors (default: row index).
+    Numpy ``leaves`` build no tape; ``names`` labels views in errors (default: row index).
     """
     def thetas(block):
         return [leaves[f"block{block}/cheb{k}"] for k in range(1, settings.cheb_k + 1)]
@@ -143,7 +143,7 @@ def _encode_batch_t(views, leaves: dict, settings: EncoderSettings, names=None) 
     readout = ad.concat([ad.reduce_mean(h, axis=1), ad.reduce_max(h, axis=1)], axis=1)
     e = ad.matmul(readout, leaves["readout"])
     norm = ad.sqrt(ad.reduce_sum(ad.mul(e, e), axis=1, keepdims=True))
-    zero = np.flatnonzero(norm.data.ravel() == 0.0)
+    zero = np.flatnonzero(ad.value(norm).ravel() == 0.0)
     if zero.size:
         row = int(zero[0])
         raise ValueError(f"zero-norm embedding for {names[row] if names else f'row {row}'}")
@@ -223,9 +223,8 @@ def embed_cohort(cohort: Cohort, params: ParamStore, cfg: RunConfig, prepared: l
     ``prepared`` reuses the output of ``prepare_views`` for this cohort and cfg.
     """
     prepared = _prepared_for(cohort, cfg, prepared)
-    leaves = ad.make_leaves(params)
     return [
-        list(_encode_batch_t(views, leaves, cfg.encoder, [_view_name(patient.id, v) for v in range(len(views))]).data)
+        list(_encode_batch_t(views, params.values, cfg.encoder, [_view_name(patient.id, v) for v in range(len(views))]))
         for patient, views in zip(cohort.patients, prepared)
     ]
 
@@ -281,13 +280,9 @@ def train_cgl(cohort: Cohort, cfg: RunConfig, seed: int | None = None, prepared:
                 [_view_name(cohort.patients[pidx].id, v) for pidx, v in rows],
             )
             loss, m_values = _contrastive_loss_t(emb, cfg.encoder.tau)
-            loss_val = loss.data.item()
-            if not np.isfinite(loss_val):
-                raise RuntimeError(
-                    f"non-finite contrastive loss at epoch {epoch}, batch starting {start}"
-                )
-            ad.backward(loss)
-            store = ad.adam_step(store, ad.leaf_grads(leaves), cfg.train.cgl_lr)
+            loss_val, store = ad.train_step(
+                store, leaves, loss, cfg.train.cgl_lr, f"contrastive loss at epoch {epoch}, batch starting {start}"
+            )
 
             homo, heter = pair_split(m_values)
             epoch_loss.append(loss_val)

@@ -8,7 +8,7 @@ sit close together; only training nodes contribute to the focal loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class PopulationGraph:
     val_mask: np.ndarray
     test_mask: np.ndarray
     ids: tuple = ()
-    current_edges: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
@@ -222,8 +221,8 @@ def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edg
 
     Each layer's edges are rebuilt from its input features unless
     ``fixed_edges`` (one entry per layer) pins them; a None entry rebuilds
-    that layer. Neighbour choice itself carries no gradient. The (P, d)
-    node features ``x`` are numpy, so they are constants on the tape.
+    that layer. Neighbour choice carries no gradient. The numpy (P, d) ``x``
+    is constant; numpy ``leaves`` build no tape. Returns (probs, {"layerN": edges}).
     """
     k = min(settings.k, x.shape[0] - 1)
     edge_record = {}
@@ -234,19 +233,18 @@ def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edg
         edge_record[f"layer{layer}"] = edges
         x = _edge_conv_t(x, edges, leaves, f"layer{layer}", settings.aggregation)
     logits = ad.matmul(x, leaves["classifier"])
-    shift = logits.data.max(axis=1, keepdims=True)
+    shift = ad.value(logits).max(axis=1, keepdims=True)
     e = ad.exp(ad.sub(logits, shift))
     probs = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
     return probs, edge_record
 
 
 def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings) -> np.ndarray:
-    """Class probabilities per patient node under the ``settings`` the params were trained with; records the edges used."""
+    """Class probabilities per patient node under the ``settings`` the params were trained with, built without a tape."""
     if pop.n_patients < 2:
         raise ValueError(f"population needs >= 2 patients, got {pop.n_patients}")
-    probs, edges = _dgc_forward_t(pop.node_features, ad.make_leaves(params), settings)
-    pop.current_edges = edges
-    return probs.data
+    probs, _ = _dgc_forward_t(pop.node_features, params.values, settings)
+    return probs
 
 
 def _focal_batch_t(probs: Tensor, labels: np.ndarray, mask: np.ndarray, gamma: float) -> Tensor:
@@ -281,7 +279,7 @@ def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):
     settings = cfg.dgc
     store = init_dgc_params(pop.node_features.shape[1], settings, seed)
 
-    best_store = store.copy()
+    best_store = store
     best_metric = -np.inf
     history = []
     fixed_edges = None
@@ -291,20 +289,14 @@ def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):
         # layer 1 reads the node features, which training never changes, so its kNN graph is kept
         fixed_edges = (edges["layer1"], None)
         loss = _focal_batch_t(probs, pop.labels, pop.train_mask, settings.gamma)
-        loss_val = loss.data.item()
-        if not np.isfinite(loss_val):
-            raise RuntimeError(f"non-finite classification loss at epoch {epoch}")
-
         # the metric belongs to the parameters that produced this forward pass;
         # ties keep the latest epoch so training can refine past val saturation
         val_metric = _selection_metric(probs.data, pop.labels, pop.val_mask, settings.gamma)
         if val_metric >= best_metric:
             best_metric = val_metric
-            best_store = store.copy()
+            best_store = store  # adam_step returns a new store and never mutates this one
+        loss_val, store = ad.train_step(store, leaves, loss, cfg.train.dgc_lr, f"classification loss at epoch {epoch}")
         history.append({"epoch": epoch, "loss": loss_val, "val_metric": val_metric})
-
-        ad.backward(loss)
         # release this epoch's tape before the next forward builds another
         del probs, loss
-        store = ad.adam_step(store, ad.leaf_grads(leaves), cfg.train.dgc_lr)
     return best_store, history

@@ -386,6 +386,36 @@ class TestAdam:
             ad.adam_step(store, {"w": np.ones(3)}, lr=0.1)
 
 
+class TestTrainStep:
+    def test_equals_adam_on_forward_backward_gradients(self):
+        rng = np.random.default_rng(1)
+        store = make_store(W=rng.standard_normal((3, 3)), unused=np.ones(2))
+        x = rng.standard_normal((3, 2))
+
+        def f(leaves):
+            return ad.reduce_sum(ad.tanh(ad.matmul(leaves["W"], x)))
+
+        leaves = ad.make_leaves(store)
+        value, stepped = ad.train_step(store, leaves, f(leaves), 0.01, "test loss")
+        expected_value, grads = ad.forward_backward(f, store)
+        expected = ad.adam_step(store, grads, 0.01)
+        assert value == expected_value
+        assert stepped.step == expected.step == 1
+        for name in store.names():
+            assert np.array_equal(stepped.values[name], expected.values[name])
+            assert np.array_equal(stepped.m[name], expected.m[name])
+        assert np.array_equal(stepped.values["unused"], store.values["unused"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_names_where(self, bad):
+        store = make_store(w=np.ones(2))
+        leaves = ad.make_leaves(store)
+        loss = ad.mul(ad.reduce_sum(leaves["w"]), bad)
+        with pytest.raises(ValueError, match=r"^non-finite test loss at step 3$"):
+            ad.train_step(store, leaves, loss, 0.1, "test loss at step 3")
+        assert leaves["w"].grad is None
+
+
 class TestCheckpoint:
     def test_roundtrip_bitexact(self, tmp_path):
         rng = np.random.default_rng(3)

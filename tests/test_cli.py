@@ -244,7 +244,7 @@ class TestConfigOwners:
         assert from_json.value.message.startswith(("must be a JSON ", "must be a list of JSON "))
 
     @pytest.mark.parametrize("path", NUMBER_PATHS)
-    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", pytest.param(str(10**400), id="huge_int")])
     def test_non_finite_json_literals_exit_one(self, tmp_path, capsys, path, literal):
         doc = tiny_config_dict(tmp_path / "run")
         *parents, key = path.split(".")
@@ -254,7 +254,7 @@ class TestConfigOwners:
         block[key] = "LITERAL"
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(doc).replace('"LITERAL"', literal))
-        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be a JSON number, got (-?inf|nan)$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be a JSON number, got (-?inf|nan|10{{400}})$"):
             load_config(config)
         assert main(["synth", "--config", str(config)]) == 1
         assert f"config error: {path}: must be a JSON number" in capsys.readouterr().err

@@ -83,8 +83,9 @@ class TestLoadCohort:
             (5, r"field 'pcd' must be a list of 7 numbers, got 5"),
             ([1.0, 2.0, "a", 4.0, 5.0, 6.0, 7.0], r"field 'pcd' item 2 must be a finite number, got 'a'"),
             ([True, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], r"field 'pcd' item 0 must be a finite number, got True"),
+            ([1.0, 2.0, 3.0, 10**400, 5.0, 6.0, 7.0], r"field 'pcd' item 3 must be a finite number, got 10{400}$"),
         ],
-        ids=["scalar", "string_entry", "boolean_entry"],
+        ids=["scalar", "string_entry", "boolean_entry", "huge_int_entry"],
     )
     def test_pcd_must_be_finite_numbers(self, manifest_dir, pcd, named):
         manifest = manifest_dir / "manifest.json"

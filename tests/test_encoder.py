@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -345,6 +346,24 @@ class TestZeroNormEmbedding:
             encoder.embed_cohort(cohort, params, cfg, prepared=prepared)
 
 
+class TestTapeFreeInference:
+    def test_embed_cohort_equals_the_tape_path(self):
+        cfg = tiny_config()
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        prepared = prepare_views(cohort, cfg)
+        params = init_encoder_params(prepared[0][0].features.shape[1], cfg.encoder, seed=0)
+        embedded = encoder.embed_cohort(cohort, params, cfg, prepared=prepared)
+        for views, rows in zip(prepared, embedded):
+            taped = _encode_batch_t(views, ad.make_leaves(params), cfg.encoder)
+            assert np.array_equal(np.stack(rows), taped.data)
+
+    def test_numpy_leaves_return_an_ndarray(self):
+        cfg = tiny_config()
+        views = prepare_views(split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1), cfg)[0]
+        params = init_encoder_params(views[0].features.shape[1], cfg.encoder, seed=0)
+        assert type(_encode_batch_t(views, params.values, cfg.encoder)) is np.ndarray
+
+
 class TestPreparedLength:
     def test_embed_cohort_rejects_short_prepared(self):
         cfg = tiny_config()
@@ -376,6 +395,22 @@ class TestTrainCgl:
         _, h1 = train_cgl(cohort, cfg, seed=5)
         _, h2 = train_cgl(cohort, cfg, seed=5)
         assert h1 == h2
+
+    def test_non_finite_loss_names_epoch_and_batch(self, monkeypatch):
+        cfg = tiny_config(train=TrainSettings(batch_size=2, cgl_epochs=3, dgc_epochs=1))
+        cohort = split_cohort(synth_cohort(cfg.synth, 1), (0.7, 0.1, 0.2), 1)
+        n_batches = math.ceil(sum(p.split == "train" for p in cohort.patients) / 2)
+        real = encoder._contrastive_loss_t
+        calls = []
+
+        def nan_at_second_batch_of_epoch_1(embeddings, tau):
+            loss, m = real(embeddings, tau)
+            calls.append(None)
+            return (ad.mul(loss, np.nan) if len(calls) == n_batches + 2 else loss), m
+
+        monkeypatch.setattr(encoder, "_contrastive_loss_t", nan_at_second_batch_of_epoch_1)
+        with pytest.raises(ValueError, match=r"^non-finite contrastive loss at epoch 1, batch starting 2$"):
+            train_cgl(cohort, cfg, seed=0)
 
     def test_needs_two_training_patients(self):
         cfg = tiny_config()

@@ -215,10 +215,23 @@ class TestFocalLoss:
 class TestDgcForward:
     def test_rows_sum_to_one(self):
         pop = random_population(4)
-        params = init_dgc_params(6, DgcSettings(k=3, hidden1=5, hidden2=4), seed=0)
-        probs = dgc_forward(pop, params, settings=DgcSettings(k=3, hidden1=5, hidden2=4))
+        settings = DgcSettings(k=3, hidden1=5, hidden2=4)
+        params = init_dgc_params(6, settings, seed=0)
+        probs = dgc_forward(pop, params, settings=settings)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
-        assert set(pop.current_edges) == {"layer1", "layer2"}
+        _, record = _dgc_forward_t(pop.node_features, params.values, settings)
+        assert set(record) == {"layer1", "layer2"}
+
+    @pytest.mark.parametrize("aggregation", ["sum", "max"])
+    def test_tape_free_forward_equals_the_tape_path(self, aggregation):
+        pop = random_population(15, p=12)
+        settings = DgcSettings(k=3, hidden1=6, hidden2=5, aggregation=aggregation)
+        params = init_dgc_params(6, settings, seed=7)
+        probs = dgc_forward(pop, params, settings=settings)
+        taped, _ = _dgc_forward_t(pop.node_features, ad.make_leaves(params), settings)
+        assert type(probs) is np.ndarray
+        assert isinstance(taped, ad.Tensor)
+        assert np.array_equal(probs, taped.data)
 
     def test_settings_are_required(self):
         # parameters trained under one aggregation and k give other probabilities under the defaults
@@ -258,8 +271,8 @@ class TestDgcForward:
         )
         settings = DgcSettings(k=4, hidden1=6, hidden2=5)
         params = init_dgc_params(4, settings, seed=3)
-        dgc_forward(pop, params, settings=settings)
-        e2 = pop.current_edges["layer2"]
+        _, record = _dgc_forward_t(pop.node_features, params.values, settings)
+        e2 = record["layer2"]
         within = (membership[e2[:, 0]] == membership[e2[:, 1]]).mean()
         assert within >= 0.9
 
@@ -334,6 +347,19 @@ class TestTrainDgc:
         train_dgc(random_population(14, p=12), cfg, seed=0)
         # one layer-1 graph for the whole run, then one layer-2 graph per epoch
         assert len(built) == cfg.train.dgc_epochs + 1
+
+    def test_non_finite_loss_names_the_epoch(self, monkeypatch):
+        real = population._focal_batch_t
+        calls = []
+
+        def nan_at_epoch_2(probs, labels, mask, gamma):
+            loss = real(probs, labels, mask, gamma)
+            calls.append(None)
+            return ad.mul(loss, np.nan) if len(calls) == 3 else loss
+
+        monkeypatch.setattr(population, "_focal_batch_t", nan_at_epoch_2)
+        with pytest.raises(ValueError, match=r"^non-finite classification loss at epoch 2$"):
+            train_dgc(random_population(16, p=12), self._config(), seed=0)
 
     def test_returns_best_validation_epoch(self):
         pop = random_population(12, p=16)
