@@ -313,6 +313,8 @@ def edge_relu(a, b, nbr):
     nbr = np.asarray(nbr, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 2 or nbr.ndim != 2 or x.shape[1] != y.shape[1] or nbr.shape[0] != x.shape[0]:
         raise ValueError(f"edge_relu shape mismatch: a {x.shape}, b {y.shape}, nbr {nbr.shape}")
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= y.shape[0]):  # np.take would wrap a negative index
+        raise ValueError(f"edge_relu neighbours must lie in [0, {y.shape[0] - 1}]")
     val = np.take(y, nbr, axis=0)
     val += x[:, None, :]
     np.maximum(val, 0.0, out=val)
@@ -508,5 +510,7 @@ def load_checkpoint(path) -> ParamStore:
             arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint {path}: parameter {name!r} does not fit its shape: {exc}") from None
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         store.add(name, arr)
     return store

@@ -338,16 +338,21 @@ def save_snapshot(cohort: Cohort, out: Path) -> None:
         np.savez(fh, **{p.id: p.series.values for p in cohort.patients})
 
 
+def read_npz(path: Path, what: str) -> dict:
+    """Every array in the ``.npz`` file at ``path``; a missing or damaged file raises naming it as ``what``."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        with np.load(path) as archive:
+            return dict(archive)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{what} {path} is unreadable: {exc}") from None
+
+
 def load_snapshot(run_dir: Path) -> Cohort:
     """The cohort ``save_snapshot`` wrote; a damaged or inconsistent file raises a ValueError naming it."""
     series_path = run_dir / "series.npz"
-    if not series_path.exists():
-        raise FileNotFoundError(f"cohort series not found: {series_path}")
-    try:
-        with np.load(series_path) as archive:
-            series = dict(archive)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"cohort series {series_path} is unreadable: {exc}") from None
+    series = read_npz(series_path, "cohort series")
 
     def stored_series(entry) -> np.ndarray:
         try:

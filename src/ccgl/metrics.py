@@ -25,6 +25,8 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1 or s.size == 0:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
+    if not np.isfinite(s).all():
+        raise ValueError(f"score {int(np.flatnonzero(~np.isfinite(s))[0])} is not finite")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:

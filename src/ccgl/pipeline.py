@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import atomic_write, load_checkpoint, save_checkpoint
-from .cohort import Cohort, load_cohort, load_snapshot, save_snapshot, split_cohort, standardized_pcd, synth_cohort
+from .cohort import Cohort, load_cohort, load_snapshot, read_npz, save_snapshot, split_cohort, standardized_pcd, synth_cohort
 from .config import RunConfig, save_config
 from .connectivity import pearson_matrix
 from .encoder import embed_cohort, prepare_views, similarity_matrix, train_cgl
@@ -92,9 +92,11 @@ def _load_population(out: Path):
     """(cohort, embeddings, population graph); train-cgl's (N, V, d) embeddings must match its checkpoint and the cohort."""
     cohort = load_snapshot(out)
     digest = _sha256(_require(out / "cgl_params.json", "CGL checkpoint"))
-    path = _require(out / "embeddings.npz", "cohort embeddings")
-    with np.load(path) as archive:
-        embeddings, recorded = archive["embeddings"], str(archive["cgl_params_sha256"])
+    path = out / "embeddings.npz"
+    arrays = read_npz(path, "cohort embeddings")
+    if not {"embeddings", "cgl_params_sha256"} <= arrays.keys():
+        raise ValueError(f"{path} lacks the embeddings or their checkpoint digest; re-run train-cgl")
+    embeddings, recorded = arrays["embeddings"], str(arrays["cgl_params_sha256"])
     if recorded != digest:
         raise ValueError(f"{path} was not made from the current cgl_params.json; re-run train-cgl")
     if embeddings.shape[0] != len(cohort.patients):

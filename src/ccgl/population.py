@@ -39,14 +39,10 @@ class PopulationGraph:
         for name in ("labels", "train_mask", "val_mask", "test_mask"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
-        overlap = (
-            (self.train_mask & self.val_mask)
-            | (self.train_mask & self.test_mask)
-            | (self.val_mask & self.test_mask)
-        )
-        if overlap.any():
+        roles = self.train_mask.astype(np.int64) + self.val_mask + self.test_mask
+        if (roles > 1).any():
             raise ValueError("split masks must be disjoint")
-        if not (self.train_mask | self.val_mask | self.test_mask).all():
+        if (roles == 0).any():
             raise ValueError("every node needs a split role")
         self.ids = tuple(self.ids) or tuple(str(i) for i in range(n))
         if len(self.ids) != n:
@@ -147,28 +143,8 @@ def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     return np.column_stack([np.repeat(np.arange(p), k), k_nearest(dist, k).ravel()])
 
 
-def _out_degree(edges: np.ndarray, n: int) -> int:
-    """k for edges that give every node exactly k out-edges, listed by source."""
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"edges must be an (E, 2) array, got shape {edges.shape}")
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError(f"edge endpoints must lie in [0, {n - 1}]")
-    counts = np.bincount(edges[:, 0], minlength=n)
-    if np.any(counts == 0):
-        raise ValueError(f"isolated node {int(np.flatnonzero(counts == 0)[0])}")
-    k = int(counts[0])
-    uneven = np.flatnonzero(counts != k)
-    if uneven.size:
-        node = int(uneven[0])
-        raise ValueError(f"edges are not k-regular: node {node} has {counts[node]} out-edges, node 0 has {k}")
-    misplaced = np.flatnonzero(edges[:, 0] != np.repeat(np.arange(n), k))
-    if misplaced.size:
-        raise ValueError(f"edges are not sorted by source: node {int(edges[misplaced[0], 0])} is out of order")
-    return k
-
-
-def _edge_conv_t(x, edges: np.ndarray, leaves: dict, prefix: str, aggregation: str = "sum") -> Tensor:
-    """EdgeConv phi(x_i || x_j - x_i) aggregated over each node's k out-neighbours.
+def _edge_conv_t(x, nbr: np.ndarray, leaves: dict, prefix: str, aggregation: str) -> Tensor:
+    """EdgeConv phi(x_i || x_j - x_i) aggregated over node i's k neighbours, row i of ``nbr``.
 
     The first layer of phi is linear, so on edge (i, j) it equals
     x_i (W_a - W_b) + x_j W_b with W_a, W_b the top and bottom halves of w1.
@@ -176,17 +152,15 @@ def _edge_conv_t(x, edges: np.ndarray, leaves: dict, prefix: str, aggregation: s
     exist per edge, as one (P, k, H) block from ``ad.edge_relu``. ``x`` is
     a (P, d) Tensor, or numpy node features, which are constants.
     """
-    if aggregation not in ("sum", "max"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     n, d = x.shape
-    k = _out_degree(edges, n)
     w1 = leaves[f"{prefix}/w1"]
     w2, b2 = leaves[f"{prefix}/w2"], leaves[f"{prefix}/b2"]
     w_nbr = ad.take(w1, np.arange(d, 2 * d))
     w_self = ad.sub(ad.take(w1, np.arange(d)), w_nbr)
     a = ad.add(ad.matmul(x, w_self), leaves[f"{prefix}/b1"])
     b = ad.matmul(x, w_nbr)
-    h = ad.edge_relu(a, b, edges[:, 1].reshape(n, k))
+    h = ad.edge_relu(a, b, nbr)
+    k = nbr.shape[1]
     if aggregation == "sum":
         # the sum over neighbours commutes with the second linear layer
         return ad.add(ad.matmul(ad.reduce_sum(h, axis=1), w2), ad.mul(b2, float(k)))
@@ -216,27 +190,26 @@ def init_dgc_params(in_dim: int, settings: DgcSettings, seed: int) -> ParamStore
     return store
 
 
-def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edges=None):
+def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edges=(None, None)):
     """Two dynamic edge-conv layers and a softmax head on the tape.
 
-    Each layer's edges are rebuilt from its input features unless
-    ``fixed_edges`` (one entry per layer) pins them; a None entry rebuilds
-    that layer. Neighbour choice carries no gradient. The numpy (P, d) ``x``
-    is constant; numpy ``leaves`` build no tape. Returns (probs, {"layerN": edges}).
+    Each layer's (P, k) neighbour matrix is rebuilt from its input features
+    unless its entry of ``fixed_edges`` pins it. Neighbour choice carries no
+    gradient. The numpy (P, d) ``x`` is constant; numpy ``leaves`` build no
+    tape. Returns (probs, {"layerN": nbr}).
     """
     k = min(settings.k, x.shape[0] - 1)
-    edge_record = {}
-    for layer in (1, 2):
-        edges = None if fixed_edges is None else fixed_edges[layer - 1]
-        if edges is None:
-            edges = knn_edges(ad.value(x), k)
-        edge_record[f"layer{layer}"] = edges
-        x = _edge_conv_t(x, edges, leaves, f"layer{layer}", settings.aggregation)
+    record = {}
+    for layer, nbr in enumerate(fixed_edges, start=1):
+        if nbr is None:
+            nbr = knn_edges(ad.value(x), k)[:, 1].reshape(-1, k)
+        record[f"layer{layer}"] = nbr
+        x = _edge_conv_t(x, nbr, leaves, f"layer{layer}", settings.aggregation)
     logits = ad.matmul(x, leaves["classifier"])
     shift = ad.value(logits).max(axis=1, keepdims=True)
     e = ad.exp(ad.sub(logits, shift))
     probs = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
-    return probs, edge_record
+    return probs, record
 
 
 def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings) -> np.ndarray:
@@ -282,12 +255,12 @@ def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):
     best_store = store
     best_metric = -np.inf
     history = []
-    fixed_edges = None
+    fixed_edges = (None, None)
     for epoch in range(cfg.train.dgc_epochs):
         leaves = ad.make_leaves(store)
-        probs, edges = _dgc_forward_t(pop.node_features, leaves, settings, fixed_edges=fixed_edges)
+        probs, record = _dgc_forward_t(pop.node_features, leaves, settings, fixed_edges=fixed_edges)
         # layer 1 reads the node features, which training never changes, so its kNN graph is kept
-        fixed_edges = (edges["layer1"], None)
+        fixed_edges = (record["layer1"], None)
         loss = _focal_batch_t(probs, pop.labels, pop.train_mask, settings.gamma)
         # the metric belongs to the parameters that produced this forward pass;
         # ties keep the latest epoch so training can refine past val saturation

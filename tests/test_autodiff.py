@@ -467,6 +467,8 @@ class TestCheckpoint:
             ({"version": VERSION, "params": {"w": {"shape": [2, 2], "values": [1.0]}}}, "parameter 'w' does not fit"),
             ({"version": VERSION, "params": {"w": {"shape": "x", "values": [1.0]}}}, "parameter 'w' does not fit"),
             ({"version": VERSION, "params": {"w": {"shape": [2], "values": ["a", 1]}}}, "parameter 'w' does not fit"),
+            ({"version": VERSION, "params": {"w": {"shape": [2], "values": [1.0, np.nan]}}}, "parameter 'w' holds non-finite"),
+            ({"version": VERSION, "params": {"w": {"shape": [1], "values": [np.inf]}}}, "parameter 'w' holds non-finite"),
         ],
     )
     def test_malformed_file_names_the_path(self, tmp_path, payload, match):

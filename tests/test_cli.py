@@ -515,6 +515,24 @@ class TestEmbeddingsArtifact:
             with pytest.raises(FileNotFoundError, match="embeddings.npz"):
                 stage(cfg, 0)
 
+    def test_truncated_embeddings_name_the_file(self, trained_run):
+        cfg, run_dir = trained_run
+        path = run_dir / "embeddings.npz"
+        path.write_bytes(path.read_bytes()[:40])
+        for stage in LATER_STAGES:
+            with pytest.raises(ValueError, match="cohort embeddings .*embeddings.npz is unreadable"):
+                stage(cfg, 0)
+
+    def test_embeddings_without_their_digest_name_the_file(self, trained_run):
+        cfg, run_dir = trained_run
+        with np.load(run_dir / "embeddings.npz") as archive:
+            embeddings = archive["embeddings"]
+        with open(run_dir / "embeddings.npz", "wb") as fh:
+            np.savez(fh, embeddings=embeddings)
+        for stage in LATER_STAGES:
+            with pytest.raises(ValueError, match="embeddings.npz lacks .*re-run train-cgl"):
+                stage(cfg, 0)
+
     def test_later_stages_do_not_reembed(self, trained_run, monkeypatch):
         cfg, run_dir = trained_run
 

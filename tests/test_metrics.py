@@ -69,6 +69,12 @@ class TestAuc:
         with pytest.raises(ValueError, match="both classes"):
             auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN sorts after every finite score, so it used to be scored as the top rank
+        with pytest.raises(ValueError, match="score 2 is not finite"):
+            auc([0.1, 0.2, bad, 0.9], [0, 0, 1, 1])
+
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(0)
         for trial in range(50):

@@ -274,10 +274,11 @@ class TestEdgeConvOracle:
         loss_weights = rng.standard_normal((p, 3))
         edges = knn_edges(x0, k)
         results = []
-        for conv in (_edge_conv_t, oracles.edge_conv_t):
+        # the layer reads each node's neighbours as one (P, k) row; the oracle reads the edge list
+        for conv, graph in ((_edge_conv_t, edges[:, 1].reshape(p, k)), (oracles.edge_conv_t, edges)):
             x = Tensor(x0.copy())
             leaves = {name: Tensor(value.copy()) for name, value in params.items()}
-            out = conv(x, edges, leaves, "l", aggregation)
+            out = conv(x, graph, leaves, "l", aggregation)
             ad.backward(ad.reduce_sum(ad.mul(out, loss_weights)))
             results.append((out.data, x.grad, [leaves[name].grad for name in params]))
         (out, x_grad, grads), (ref_out, ref_x_grad, ref_grads) = results
