@@ -6,8 +6,10 @@
 Runs each workload's set-up and body once, through ``benchmark/workloads.py``
 imported read-only, with ccgl taken from this checkout's ``src/`` and BLAS
 pinned to one thread as the benchmark does. It prints one JSON object: the
-seed and the sha256 of the atlas ``embeddings`` and of the population
-``probs``, ``dot`` and ``graphml`` outputs.
+seed and the sha256 of the atlas set-up ``cohort`` (its stacked series
+bytes), of the atlas ``embeddings`` and of the population ``probs``, ``dot``
+and ``graphml`` outputs. The cohort hash tells whether a divergence starts in
+the synthetic generator or in the encoder.
 
 With ``--against PREVIOUS.json`` (an object this script printed earlier), it
 also names on stderr every output whose hash differs from that run's, and
@@ -26,6 +28,8 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
@@ -50,6 +54,9 @@ def main() -> None:
         for name in HASHED:
             workload = WORKLOADS[name]
             inputs = workload.setup(args.seed, Path(work) / name / "setup")
+            if name == "atlas":
+                series = np.stack([p.series.values for p in inputs[0].patients])
+                hashes["cohort"] = hashlib.sha256(series.tobytes()).hexdigest()
             outcome = workload.run(inputs, Path(work) / name / "run", Calls())
             if outcome.problems:
                 sys.exit(f"{name}: output checks failed: {outcome.problems}")

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass, replace
 from functools import cache
+from itertools import count
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -28,10 +30,11 @@ ENTRY_FIELDS = ("id", "pcd", "label", "site", "split")  # a PatientRecord's JSON
 
 # synthetic generator knobs: disorder shift of the IQ-like pcd entries, the
 # per-patient spread of the observation-noise scale around noise_level, and
-# the size of each patient's private precision perturbation
+# the size and pair density of each patient's private precision perturbation
 PCD_IQ_SHIFT = -4.0
 NOISE_JITTER = (0.9, 1.1)
 PATIENT_FC_JITTER = 0.10
+PATIENT_FC_DENSITY = 0.15
 
 
 @dataclass(frozen=True)
@@ -233,6 +236,8 @@ class SynthSpec:
         require(self, "class_ratio", 0.0 < self.class_ratio < 1.0, "must be in (0, 1)")
         counts = self.subtypes_per_class
         require(self, "subtypes_per_class", len(counts) == 2 and min(counts) >= 1, "must give each of 2 classes >= 1 subtype")
+        smallest = next(r for r in count(2) if _pair_blocks(r, sum(counts))[1] >= 1)
+        require(self, "n_rois", self.n_rois >= smallest, f"must be >= {smallest} so that each of {sum(counts)} subtypes owns a pair")
         require(self, "noise_level", self.noise_level >= 0, "must be >= 0")
 
 
@@ -305,7 +310,25 @@ def load_cohort(manifest_path, min_timepoints: int = 2 * MIN_WINDOW_LENGTH) -> C
 
 
 def _read_series_csv(csv_path: Path) -> np.ndarray:
-    """The rows of ``csv_path`` as a (T, R) array; every row needs as many values as the first."""
+    """The rows of ``csv_path`` as a (T, R) array; every row needs as many values as the first.
+
+    ``np.loadtxt`` reads a well-formed file; anything it refuses, or a result
+    that is non-finite or shorter than two rows, goes to the row scan, which
+    accepts or refuses it and names the row and the column.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns, and the scan refuses it
+            values = np.loadtxt(csv_path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is not None and values.shape[0] >= 2 and np.isfinite(values).all():
+        return values
+    return _scan_series_csv(csv_path)
+
+
+def _scan_series_csv(csv_path: Path) -> np.ndarray:
+    """``_read_series_csv`` row by row, with Python's float rule; an error names the row and the column."""
     rows = []
     with open(csv_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -383,33 +406,78 @@ def slice_views(series: RoiTimeSeries, n_views: int, min_window_length: int = MI
     ]
 
 
+def _pair_blocks(n_rois: int, n_subtypes: int) -> tuple:
+    """(n_shared, block): the backbone's pair count and each subtype's exclusive pair count."""
+    pairs = n_rois * (n_rois - 1) // 2
+    n_shared = max(1, int(0.15 * pairs))
+    return n_shared, (pairs - n_shared) // n_subtypes
+
+
+def _signed_uniform(rng: np.random.Generator, n: int, low: float, high: float) -> np.ndarray:
+    """``n`` values rng.uniform(low, high) * (+1 if rng.random() < 0.5 else -1), drawn value, sign, value, ..."""
+    u = rng.random(2 * n)
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), bit for bit
+    return (low + (high - low) * u[0::2]) * np.where(u[1::2] < 0.5, 1.0, -1.0)
+
+
 def _subtype_precision_templates(rng: np.random.Generator, n_rois: int, subtype_counts) -> dict:
     """Off-diagonal precision patterns: shared backbone plus per-subtype support.
 
     All subtypes share a common set of connections; on top of it every
     subtype owns an exclusive block of pairs, so any two subtypes differ by
-    construction rather than by sampling luck.
+    construction rather than by sampling luck (``SynthSpec`` refuses an
+    ``n_rois`` too small to give every subtype a pair).
     """
-    pairs = [(i, j) for i in range(n_rois) for j in range(i + 1, n_rois)]
-    order = [pairs[k] for k in rng.permutation(len(pairs))]
-    n_shared = max(1, int(0.15 * len(order)))
-    shared, rest = order[:n_shared], order[n_shared:]
+    rows, cols = np.triu_indices(n_rois, 1)
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    keys = [(c, s) for c in (0, 1) for s in range(subtype_counts[c])]
+    n_shared, block = _pair_blocks(n_rois, len(keys))
 
     backbone = np.zeros((n_rois, n_rois))
-    for i, j in shared:
-        v = rng.uniform(0.4, 0.9) * (1.0 if rng.random() < 0.5 else -1.0)
-        backbone[i, j] = backbone[j, i] = v
+    i, j = rows[:n_shared], cols[:n_shared]
+    backbone[i, j] = backbone[j, i] = _signed_uniform(rng, n_shared, 0.4, 0.9)
 
-    keys = [(c, s) for c in (0, 1) for s in range(subtype_counts[c])]
-    block = len(rest) // len(keys)
     templates = {}
     for t, key in enumerate(keys):
+        pick = slice(n_shared + t * block, n_shared + (t + 1) * block)
         tmpl = backbone.copy()
-        for i, j in rest[t * block : (t + 1) * block]:
-            v = rng.uniform(0.5, 1.0) * (1.0 if rng.random() < 0.5 else -1.0)
-            tmpl[i, j] = tmpl[j, i] = v
+        tmpl[rows[pick], cols[pick]] = tmpl[cols[pick], rows[pick]] = _signed_uniform(rng, block, 0.5, 1.0)
         templates[key] = tmpl
     return templates
+
+
+def _fc_jitter(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Symmetric (n, n) jitter: pair i < j, in row-major order, is set with probability PATIENT_FC_DENSITY.
+
+    The stream is read as by a scalar loop: per pair one gate double, and
+    when it is below the density one more double for the value
+    rng.uniform(-PATIENT_FC_JITTER, PATIENT_FC_JITTER). Here the m = n(n-1)/2
+    gates and their values come from one block of 2m doubles, in which a
+    double is a gate iff the run of below-density doubles just before it has
+    even length. The generator is then put back and moved on by exactly the
+    doubles used: restoring the state keeps PCG64's buffered 32-bit half,
+    which ``bit_generator.advance`` would clear.
+    """
+    m = n * (n - 1) // 2
+    saved = rng.bit_generator.state
+    u = rng.random(2 * m)
+    below = u < PATIENT_FC_DENSITY
+    pos = np.arange(u.size)
+    last_above = np.maximum.accumulate(np.where(below, -1, pos))  # last index <= k whose double is >= density
+    gate = np.ones(u.size, dtype=bool)
+    gate[1:] = (pos[:-1] - last_above[:-1]) % 2 == 0
+    gates = np.flatnonzero(gate)[:m]
+    hit = below[gates]
+    rng.bit_generator.state = saved
+    rng.random(gates[-1] + 1 + hit[-1])
+
+    low, high = -PATIENT_FC_JITTER, PATIENT_FC_JITTER
+    rows, cols = np.triu_indices(n, 1)
+    rows, cols = rows[hit], cols[hit]
+    delta = np.zeros((n, n))
+    delta[rows, cols] = delta[cols, rows] = low + (high - low) * u[gates[hit] + 1]
+    return delta
 
 
 def _patient_covariance(rng: np.random.Generator, template: np.ndarray) -> np.ndarray:
@@ -420,15 +488,7 @@ def _patient_covariance(rng: np.random.Generator, template: np.ndarray) -> np.nd
     diagonal-dominance margin keeps every perturbed precision positive
     definite.
     """
-    n = template.shape[0]
-    delta = np.zeros_like(template)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.15:
-                v = rng.uniform(-PATIENT_FC_JITTER, PATIENT_FC_JITTER)
-                delta[i, j] = v
-                delta[j, i] = v
-    prec = template + delta
+    prec = template + _fc_jitter(rng, template.shape[0])
     np.fill_diagonal(prec, 0.3 + np.abs(prec).sum(axis=1))
     cov = np.linalg.inv(prec)
     d = np.sqrt(np.diag(cov))
@@ -445,7 +505,7 @@ def _draw_pcd(rng: np.random.Generator, label: int) -> np.ndarray:
     age = float(rng.integers(8, 19) + label)
     gender = float(rng.integers(0, 2))
     handedness = float(rng.random() < 0.9)
-    iqs = [float(np.round(rng.normal(100.0 + PCD_IQ_SHIFT * label, 12.0))) for _ in range(4)]
+    iqs = np.round(rng.normal(100.0 + PCD_IQ_SHIFT * label, 12.0, size=4))
     return np.array([age, gender, handedness, *iqs])
 
 

@@ -400,3 +400,52 @@ def weights_from_edges(r: int, edges) -> np.ndarray:
     for i, j, value in edges:
         w[i, j] = w[j, i] = value
     return w
+
+
+# ---------------------------------------------------------------------------
+# synthetic cohort draws, one scalar from the stream at a time
+# ---------------------------------------------------------------------------
+
+def subtype_precision_templates(rng: np.random.Generator, n_rois: int, subtype_counts) -> dict:
+    """Backbone plus one exclusive block of pairs per subtype, drawn pair by pair: value, then sign."""
+    pairs = [(i, j) for i in range(n_rois) for j in range(i + 1, n_rois)]
+    order = [pairs[k] for k in rng.permutation(len(pairs))]
+    n_shared = max(1, int(0.15 * len(order)))
+    shared, rest = order[:n_shared], order[n_shared:]
+
+    backbone = np.zeros((n_rois, n_rois))
+    for i, j in shared:
+        v = rng.uniform(0.4, 0.9) * (1.0 if rng.random() < 0.5 else -1.0)
+        backbone[i, j] = backbone[j, i] = v
+
+    keys = [(c, s) for c in (0, 1) for s in range(subtype_counts[c])]
+    block = len(rest) // len(keys)
+    templates = {}
+    for t, key in enumerate(keys):
+        tmpl = backbone.copy()
+        for i, j in rest[t * block : (t + 1) * block]:
+            v = rng.uniform(0.5, 1.0) * (1.0 if rng.random() < 0.5 else -1.0)
+            tmpl[i, j] = tmpl[j, i] = v
+        templates[key] = tmpl
+    return templates
+
+
+def fc_jitter(rng: np.random.Generator, n: int, density: float, half_width: float) -> np.ndarray:
+    """Symmetric (n, n) jitter: each pair i < j in row-major order reads a gate, and a value when the gate is below density."""
+    delta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                v = rng.uniform(-half_width, half_width)
+                delta[i, j] = v
+                delta[j, i] = v
+    return delta
+
+
+def draw_pcd(rng: np.random.Generator, label: int, iq_shift: float) -> np.ndarray:
+    """Age, gender, handedness and four IQ-like measures, each IQ a scalar normal draw."""
+    age = float(rng.integers(8, 19) + label)
+    gender = float(rng.integers(0, 2))
+    handedness = float(rng.random() < 0.9)
+    iqs = [float(np.round(rng.normal(100.0 + iq_shift * label, 12.0))) for _ in range(4)]
+    return np.array([age, gender, handedness, *iqs])

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccgl.cohort import (
@@ -12,6 +16,7 @@ from ccgl.cohort import (
     MIN_WINDOW_LENGTH,
     VALID_SPLITS,
     Cohort,
+    ConfigError,
     PatientRecord,
     RoiTimeSeries,
     SynthSpec,
@@ -23,6 +28,9 @@ from ccgl.cohort import (
     standardized_pcd,
     synth_cohort,
 )
+from ccgl.cohort import _read_series_csv, _scan_series_csv, _subtype_precision_templates
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestLoadCohort:
@@ -173,14 +181,14 @@ class TestLoadCohort:
 def entry_files(tmp_path_factory):
     """(directory, {source: document}) of a four-patient cohort saved as a CSV manifest and as a snapshot."""
     root = tmp_path_factory.mktemp("entries")
-    cohort = synth_cohort(SynthSpec(n_patients=4, n_rois=3, n_timepoints=6), 0)
+    cohort = synth_cohort(SynthSpec(n_patients=4, n_rois=4, n_timepoints=6), 0)
     entries = []
     for p in cohort.patients:
         (root / f"{p.id}.csv").write_text("\n".join(",".join(map(repr, row)) for row in p.series.values.tolist()))
         entries.append({"id": p.id, "csv": f"{p.id}.csv", "pcd": p.pcd.tolist(), "label": p.label, "site": p.site})
     save_snapshot(cohort, root)
     snapshot = json.loads((root / "cohort.json").read_text())
-    return root, {"manifest": {"roi_count": 3, "patients": entries}, "snapshot": snapshot}
+    return root, {"manifest": {"roi_count": cohort.roi_count, "patients": entries}, "snapshot": snapshot}
 
 
 def load_mutated(root, source, doc):
@@ -401,6 +409,68 @@ class TestSynthCohort:
         with pytest.raises(ValueError, match="ratio"):
             SynthSpec(n_patients=8, n_rois=4, n_timepoints=100, class_ratio=1.0)
 
+    def test_too_few_rois_for_every_subtype_to_own_a_pair_is_refused(self):
+        # 3 rois give 3 pairs, one of them shared, which leaves 2 for 4 subtypes
+        with pytest.raises(ConfigError, match=r"^n_rois: must be >= 4 so that each of 4 subtypes owns a pair, got 3$"):
+            SynthSpec(n_patients=8, n_rois=3, n_timepoints=100)
+        with pytest.raises(ConfigError, match=r"^n_rois: must be >= 5 so that each of 6 subtypes owns a pair, got 4$"):
+            SynthSpec(n_patients=8, n_rois=4, n_timepoints=100, subtypes_per_class=(3, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rois=st.integers(2, 12), counts=st.tuples(st.integers(1, 6), st.integers(1, 6)), seed=st.integers(0, 99))
+    def test_a_spec_is_accepted_iff_its_subtype_templates_all_differ(self, n_rois, counts, seed):
+        templates = list(_subtype_precision_templates(np.random.default_rng(seed), n_rois, counts).values())
+        distinct = all(not np.array_equal(a, b) for k, a in enumerate(templates) for b in templates[k + 1 :])
+        try:
+            SynthSpec(n_patients=8, n_rois=n_rois, n_timepoints=100, subtypes_per_class=counts)
+        except ConfigError as exc:
+            assert not distinct and exc.path == "n_rois"
+        else:
+            assert distinct
+
+
+# sha256 of the stacked series and of the stacked pcd of synth_cohort, with one
+# BLAS thread; the generator's draw order is part of the contract, and a change
+# that moves it on purpose updates these and says why in CHANGES.md
+GOLDEN_COHORTS = {
+    "desk 0": [
+        "9992b2c161a579fb62a3d56326f6addd45d46459e4a3a74d28e842574e6fa3e3",
+        "ce0df9f79e6d302ab426734f79aabe6f16e90f04e0af9230dc8c84ef180b7a50",
+    ],
+    "desk 97": [
+        "8f984b98b3d3ae10ded43951c76fbe2fc11cd86ebb1b43fcd7d5325433a0b45e",
+        "f98eb82b30e8750fe28ef8d1ec90ae077310cd134de025fbc4457997a1d8445e",
+    ],
+    "atlas 0": [
+        "453a50dc19abdf68ee2e7a618a6cbd6dd502adb0010bb52ea07124a252539b6a",
+        "4e1c30ca91ebc25d5b8267a216a66a66a825184bcbaf2374283e4230cfe73baa",
+    ],
+    "atlas 97": [
+        "3a14640743dd822ad33e814af0fa849acf9edec2fa87beb94be1a29ee5791663",
+        "17f4f5277ae079405b9d919622f37c6fd8ca917d964e72f102190f00634c24e1",
+    ],
+}
+COHORT_DIGESTS = """
+import hashlib, json
+import numpy as np
+from ccgl.cohort import SynthSpec, synth_cohort
+specs = {"desk": SynthSpec(120, 16, 400), "atlas": SynthSpec(40, 116, 400)}
+digests = {}
+for name, spec in specs.items():
+    for seed in (0, 97):
+        patients = synth_cohort(spec, seed).patients
+        stacks = (np.stack([p.series.values for p in patients]), np.stack([p.pcd for p in patients]))
+        digests[f"{name} {seed}"] = [hashlib.sha256(stack.tobytes()).hexdigest() for stack in stacks]
+print(json.dumps(digests))
+"""
+
+
+def test_synth_cohort_bytes_are_pinned_for_the_desk_and_atlas_specs():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COHORT_DIGESTS], env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(proc.stdout) == GOLDEN_COHORTS
+
 
 class TestSplitCohort:
     def test_ten_patients_single_site(self):
@@ -474,3 +544,47 @@ def test_standardized_pcd_uses_train_stats(small_cohort):
 
 def test_min_window_guard_constant():
     assert MIN_WINDOW_LENGTH == 30
+
+
+# one cell in ten is one where np.loadtxt and Python's float may disagree
+NUMBER_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-(10**6), 10**6).map(str))
+ODD_CELLS = st.sampled_from(
+    ["nan", "NaN", "inf", "-Infinity", "1e400", "1_0", "", " ", " 1.5 ", "+.5", "5.", "-0", "0x10", "#1", '"1"', "\t2", "1\x0b"]
+)
+CSV_CELLS = st.integers(0, 9).flatmap(lambda k: ODD_CELLS if k == 0 else NUMBER_CELLS)
+
+
+@st.composite
+def csv_bodies(draw):
+    """A CSV body of mostly full rows, some ragged rows and blank or whitespace-only lines."""
+    width = draw(st.integers(1, 4))
+    full = st.lists(CSV_CELLS, min_size=width, max_size=width).map(",".join)
+    ragged = st.lists(CSV_CELLS, min_size=1, max_size=5).map(",".join)
+    line = st.integers(0, 9).flatmap(lambda k: full if k < 8 else ragged if k == 8 else st.sampled_from(["", "  ", "\t"]))
+    lines = draw(st.lists(line, max_size=6))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _read_or_message(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=csv_bodies())
+@example(body="1,2\n  \n3,4\n")  # loadtxt refuses a whitespace-only line
+@example(body="1_0,2\n3,4\n")  # and an underscore in a number
+@example(body="nan,Infinity\n1,2\n")  # and accepts non-finite values
+@example(body="1,2\n")  # and a single row
+@example(body="")
+def test_csv_reader_agrees_with_the_row_scan(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "body.csv"
+    path.write_text(body, newline="")
+    fast, scan = _read_or_message(_read_series_csv, path), _read_or_message(_scan_series_csv, path)
+    if isinstance(scan, str):
+        assert fast == scan
+    else:
+        assert isinstance(fast, np.ndarray) and fast.shape == scan.shape and fast.tobytes() == scan.tobytes()

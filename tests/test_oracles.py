@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
-from ccgl import connectivity
+from ccgl import cohort, connectivity
 from ccgl.autodiff import ParamStore, Tensor
 from ccgl.cohort import RoiTimeSeries
 from ccgl.config import EncoderSettings
@@ -358,3 +358,52 @@ def test_auc_matches_midrank_loop(n, levels, seed):
     labels = rng.integers(0, 2, n)
     labels[:2] = (0, 1)
     assert auc(scores, labels) == oracles.auc(scores, labels)
+
+
+def _leave_pending_half(rng) -> None:
+    """Leave PCG64's buffered 32-bit half set, as the integer draws of cohort._draw_pcd do."""
+    if not rng.bit_generator.state["has_uint32"]:
+        rng.integers(8, 19)
+    assert rng.bit_generator.state["has_uint32"]
+
+
+def _bytes(drawn) -> list:
+    return [(key, value.tobytes()) for key, value in sorted(drawn.items())] if isinstance(drawn, dict) else [drawn.tobytes()]
+
+
+class TestSynthStreamOracle:
+    """The cohort generator's array draws read the random stream exactly as the scalar loops did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rois=st.integers(2, 40),
+        counts=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        density=st.sampled_from([0.15, 0.9]),
+        pending=st.booleans(),
+        label=st.integers(0, 1),
+    )
+    def test_values_and_generator_state_match_the_scalar_loops(self, seed, n_rois, counts, density, pending, label):
+        steps = (
+            (
+                lambda rng: cohort._subtype_precision_templates(rng, n_rois, counts),
+                lambda rng: oracles.subtype_precision_templates(rng, n_rois, counts),
+            ),
+            (
+                lambda rng: cohort._fc_jitter(rng, n_rois),
+                lambda rng: oracles.fc_jitter(rng, n_rois, density, cohort.PATIENT_FC_JITTER),
+            ),
+            (
+                lambda rng: cohort._draw_pcd(rng, label),
+                lambda rng: oracles.draw_pcd(rng, label, cohort.PCD_IQ_SHIFT),
+            ),
+        )
+        arrays, scalars = np.random.default_rng(seed), np.random.default_rng(seed)
+        # a density of 0.9 gives long runs of below-density doubles, whose parity decides the gates
+        with mock.patch.object(cohort, "PATIENT_FC_DENSITY", density):
+            for array_draw, scalar_draw in steps:
+                if pending:
+                    _leave_pending_half(arrays)
+                    _leave_pending_half(scalars)
+                assert _bytes(array_draw(arrays)) == _bytes(scalar_draw(scalars))
+                assert arrays.bit_generator.state == scalars.bit_generator.state
