@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass, replace
@@ -310,25 +309,7 @@ def load_cohort(manifest_path, min_timepoints: int = 2 * MIN_WINDOW_LENGTH) -> C
 
 
 def _read_series_csv(csv_path: Path) -> np.ndarray:
-    """The rows of ``csv_path`` as a (T, R) array; every row needs as many values as the first.
-
-    ``np.loadtxt`` reads a well-formed file; anything it refuses, or a result
-    that is non-finite or shorter than two rows, goes to the row scan, which
-    accepts or refuses it and names the row and the column.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty file warns, and the scan refuses it
-            values = np.loadtxt(csv_path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        values = None
-    if values is not None and values.shape[0] >= 2 and np.isfinite(values).all():
-        return values
-    return _scan_series_csv(csv_path)
-
-
-def _scan_series_csv(csv_path: Path) -> np.ndarray:
-    """``_read_series_csv`` row by row, with Python's float rule; an error names the row and the column."""
+    """The rows of ``csv_path`` as a (T, R) array; every row needs as many values as the first."""
     rows = []
     with open(csv_path) as fh:
         for lineno, line in enumerate(fh, start=1):
