@@ -9,8 +9,11 @@ prints one JSON object in the layout of a ``results`` entry of the committed
 ``BENCH_<n>.json`` files: per end-to-end metric of the change's
 ``BENCHMARK.json``, each side's runs, median and quartiles
 (``statistics.quantiles(method="inclusive")``), the number of pairs in which
-the change was better, and the relative change of the median. Progress goes
-to stderr. A run that prints no result object stops the script.
+the change was better, the relative change of the median, the parent's
+quartile spread (q3 - q1) and whether the gain rule holds: the change is
+better in at least 9 of 10 pairs and its median beats the parent's by more
+than that spread. Progress goes to stderr. A run that prints no result
+object stops the script.
 """
 
 from __future__ import annotations
@@ -83,11 +86,15 @@ def main(argv=None) -> None:
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         parent, change = summary(values["parent"]), summary(values["change"])
+        spread = significant(parent["q3"] - parent["q1"])
+        gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
         metrics[name] = {
             "parent": parent,
             "change": change,
             "change_wins": f"{wins}/{args.pairs}",
             "median_change_ratio": round(change["median"] / parent["median"] - 1.0, 4),
+            "parent_spread": spread,
+            "gain_rule_holds": 10 * wins >= 9 * args.pairs and gain > spread,
         }
     print(
         json.dumps(

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 CHECKPOINT_VERSION = "ccgl-ckpt-1"
 
@@ -72,27 +73,27 @@ def backward(loss: Tensor) -> None:
 
     A leaf is a tensor without parents. Interior gradients are dropped as
     soon as they have been propagated, so after the call only leaves hold
-    a ``.grad``.
+    a ``.grad``. During the walk a gradient is kept as its piece arrives,
+    possibly a read-only broadcast view or an array another node also holds,
+    and a second piece is added out of place, so no gradient is ever written
+    in place. Once a leaf's consumers have all run, its gradient becomes an
+    owned, writable, C-contiguous float64 array of the leaf's shape.
     """
     if loss.data.size != 1:
         raise ValueError(f"non-scalar loss: shape {loss.data.shape}")
     tape = Tape.trace(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        if node._vjp is None or node.grad is None:
+        if node.grad is None:
+            continue
+        if node._vjp is None:
+            # a leaf: the nodes that consume it sit later on the tape and have run
+            node.grad = np.array(node.grad, dtype=np.float64, order="C")
             continue
         for parent, piece in zip(node._parents, node._vjp(node.grad)):
-            if parent.grad is None:
-                # an owned copy: a piece may alias node.grad or be a broadcast view
-                grad = np.array(piece, dtype=np.float64)
-                if grad.shape != parent.data.shape:
-                    grad = np.array(np.broadcast_to(grad, parent.data.shape))
-                parent.grad = grad
-            else:
-                parent.grad += piece
-        # the nodes that consume this one sit later on the tape and have run,
-        # so its gradient was complete and now lives on in its parents; leaves
-        # never reach this line and keep theirs
+            piece = np.broadcast_to(piece, parent.data.shape)
+            parent.grad = piece if parent.grad is None else parent.grad + piece
+        # its gradient was complete and now lives on in its parents
         node.grad = None
 
 
@@ -134,7 +135,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def _unreduce(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
     """A reduction's output gradient broadcast back to the operand's ``shape``.
 
-    The result is a read-only view: backward copies a piece before it keeps it.
+    The result is a read-only view, which backward never writes into.
     """
     return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), shape)
 
@@ -307,7 +308,10 @@ def edge_relu(a, b, nbr):
 
     The fused form of gathering neighbour rows, adding each node's own row
     and applying relu: only the (n, k, H) output is kept, and the backward
-    gives the same bits as that chain of primitives.
+    gives the same bits as that chain of primitives. b's gradient is one
+    product with the (m, n*k) 0/1 incidence of ``nbr``, built when backward
+    runs: a csr row adds its picks from zero in pick order, as ``take``'s
+    bincount does.
     """
     x, y = value(a), value(b)
     nbr = np.asarray(nbr, dtype=np.int64)
@@ -318,10 +322,16 @@ def edge_relu(a, b, nbr):
     val = np.take(y, nbr, axis=0)
     val += x[:, None, :]
     np.maximum(val, 0.0, out=val)
+
+    def grad_b(g):
+        picks = nbr.ravel()
+        rows = np.concatenate(([0], np.cumsum(np.bincount(picks, minlength=y.shape[0]))))
+        order = np.argsort(picks, kind="stable")
+        incidence = sp.csr_array((np.ones(picks.size), order, rows), shape=(y.shape[0], picks.size))
+        return incidence @ g.reshape(picks.size, y.shape[1])
+
     # the relu mask is applied to the gradient once and shared by both operands
-    return _record(
-        val, (a, b), lambda g: g.sum(axis=1), lambda g: _scatter_add(g, (nbr,), y.shape), pre=lambda g: g * (val > 0.0)
-    )
+    return _record(val, (a, b), lambda g: g.sum(axis=1), grad_b, pre=lambda g: g * (val > 0.0))
 
 
 def clamp_min(a, floor: float):

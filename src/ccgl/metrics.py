@@ -27,6 +27,9 @@ def auc(scores, labels) -> float:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
     if not np.isfinite(s).all():
         raise ValueError(f"score {int(np.flatnonzero(~np.isfinite(s))[0])} is not finite")
+    not_binary = np.flatnonzero((y != 0) & (y != 1))
+    if not_binary.size:
+        raise ValueError(f"label {int(not_binary[0])} is {y[not_binary[0]].item()!r}, expected 0 or 1")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -237,6 +240,10 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
     x_test = np.asarray(test_features, dtype=np.float64)
     if x_train.ndim != 2 or x_train.shape[0] == 0:
         raise ValueError("empty training set")
+    if y_train.shape != x_train.shape[:1]:
+        raise ValueError(f"{y_train.size} training labels for {x_train.shape[0]} training patients")
+    if x_test.ndim != 2 or x_test.shape[1] != x_train.shape[1]:
+        raise ValueError(f"test features of shape {x_test.shape} for {x_train.shape[1]} training feature columns")
     if not (1 <= k <= x_train.shape[0]):
         raise ValueError(f"k must be in [1, {x_train.shape[0]}], got {k}")
     require_finite_rows(x_train, "training patient")

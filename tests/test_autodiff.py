@@ -53,6 +53,28 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="matmul"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("case", ["broadcast_piece", "shared_piece", "leaf_fed_twice"])
+    def test_leaf_gradients_are_owned_c_arrays(self, case):
+        # backward keeps pieces as they arrive (broadcast views, one array reaching two
+        # parents) and only turns a leaf's gradient into its own array at the end
+        c = np.arange(6.0).reshape(2, 3)
+        w, x, y = (Tensor(np.ones((2, 3))) for _ in range(3))
+        if case == "broadcast_piece":
+            leaves, loss, expected = [w], ad.reduce_sum(w), [np.ones((2, 3))]
+        elif case == "shared_piece":
+            leaves, loss, expected = [x, y], ad.reduce_sum(ad.add(x, y)), [np.ones((2, 3))] * 2
+        else:
+            leaves, loss, expected = [w], ad.reduce_sum(ad.mul(ad.add(w, w), c)), [2.0 * c]
+        ad.backward(loss)
+        for leaf, want in zip(leaves, expected):
+            grad = leaf.grad
+            assert grad.shape == leaf.shape and grad.dtype == np.float64
+            assert grad.flags.c_contiguous and grad.flags.writeable and grad.flags.owndata
+            assert np.array_equal(grad, want)
+        if case == "shared_piece":
+            x.grad[0, 0] = 5.0
+            assert y.grad[0, 0] == 1.0
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         store = make_store(W=rng.standard_normal((4, 4)))
@@ -320,10 +342,10 @@ class TestConstantRule:
 
 @st.composite
 def edge_relu_cases(draw):
-    """(a, b, nbr): k = 1 and H = 1 are common, neighbours repeat, and integer values make exact-zero sums."""
+    """(a, b, nbr): k = 0, k = 1 and H = 1 are common, neighbours repeat, and integer values make exact-zero sums."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    k, hidden = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k, hidden = draw(st.integers(0, 4)), draw(st.integers(1, 4))
     a, b = rng.standard_normal((n, hidden)), rng.standard_normal((m, hidden))
     if draw(st.booleans()):
         a, b = np.round(2.0 * a), np.round(2.0 * b)
@@ -332,8 +354,8 @@ def edge_relu_cases(draw):
 
 class TestEdgeRelu:
     @settings(max_examples=150, deadline=None)
-    @given(case=edge_relu_cases(), seed=st.integers(0, 999))
-    def test_matches_take_add_relu_chain_bitwise(self, case, seed):
+    @given(case=edge_relu_cases(), seed=st.integers(0, 999), through_sum=st.booleans())
+    def test_matches_take_add_relu_chain_bitwise(self, case, seed, through_sum):
         a0, b0, nbr = case
         (n, hidden), k = a0.shape, nbr.shape[1]
         a, b, a_ref, b_ref = Tensor(a0), Tensor(b0), Tensor(a0), Tensor(b0)
@@ -343,9 +365,17 @@ class TestEdgeRelu:
         assert out.shape == (n, k, hidden) and np.array_equal(out.data, ref.data)
         # magnitudes that differ by up to 16 decades make the sums depend on accumulation order
         rng = np.random.default_rng(seed)
-        g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 9, out.shape)
-        ad.backward(ad.reduce_sum(ad.mul(out, g)))
-        ad.backward(ad.reduce_sum(ad.mul(ref, g)))
+        shape = (n, hidden) if through_sum else out.shape
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+        def loss(h):
+            if through_sum:
+                # the population "sum" path: h's gradient arrives as a broadcast view
+                h = ad.reduce_sum(h, axis=1)
+            return ad.reduce_sum(ad.mul(h, g))
+
+        ad.backward(loss(out))
+        ad.backward(loss(ref))
         assert np.array_equal(a.grad, a_ref.grad) and np.array_equal(b.grad, b_ref.grad)
 
     @pytest.mark.parametrize(

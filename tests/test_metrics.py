@@ -69,6 +69,12 @@ class TestAuc:
         with pytest.raises(ValueError, match="both classes"):
             auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("labels, message", [([0, 1, 2], "label 2 is 2,"), ([-1, 1, 0], "label 0 is -1,")])
+    def test_label_outside_zero_one_rejected(self, labels, message):
+        # a label 2 used to count as neither class and lift the score to 2.0
+        with pytest.raises(ValueError, match=f"^{message} expected 0 or 1$"):
+            auc([0.1, 0.9, 0.5], labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
         # a NaN sorts after every finite score, so it used to be scored as the top rank
@@ -287,6 +293,17 @@ class TestKnnBaseline:
         test[1, 0] = -np.inf
         with pytest.raises(ValueError, match="test patient 1 has non-finite features"):
             knn_baseline(np.eye(2), np.array([0, 1]), test, k=1)
+
+    @pytest.mark.parametrize("n_labels", [9, 12])
+    def test_wrong_label_count_rejected(self, n_labels):
+        # 9 or 12 labels for 10 rows used to return scores without complaint
+        train = np.arange(10.0)[:, None]
+        with pytest.raises(ValueError, match=f"^{n_labels} training labels for 10 training patients$"):
+            knn_baseline(train, np.arange(n_labels) % 2, np.array([[2.0], [7.0]]), k=3)
+
+    def test_test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"test features of shape \(2, 2\) for 3 training feature columns"):
+            knn_baseline(np.eye(3), np.array([0, 1, 0]), np.zeros((2, 2)), k=1)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty training"):
