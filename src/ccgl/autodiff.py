@@ -91,7 +91,8 @@ def backward(loss: Tensor) -> None:
             node.grad = np.array(node.grad, dtype=np.float64, order="C")
             continue
         for parent, piece in zip(node._parents, node._vjp(node.grad)):
-            piece = np.broadcast_to(piece, parent.data.shape)
+            if piece.shape != parent.data.shape:
+                piece = np.broadcast_to(piece, parent.data.shape)
             parent.grad = piece if parent.grad is None else parent.grad + piece
         # its gradient was complete and now lives on in its parents
         node.grad = None
@@ -325,9 +326,9 @@ def edge_relu(a, b, nbr):
 
     def grad_b(g):
         picks = nbr.ravel()
-        rows = np.concatenate(([0], np.cumsum(np.bincount(picks, minlength=y.shape[0]))))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(picks, minlength=y.shape[0]))))
         order = np.argsort(picks, kind="stable")
-        incidence = sp.csr_array((np.ones(picks.size), order, rows), shape=(y.shape[0], picks.size))
+        incidence = sp.csr_array((np.ones(picks.size), order, indptr), shape=(y.shape[0], picks.size))
         return incidence @ g.reshape(picks.size, y.shape[1])
 
     # the relu mask is applied to the gradient once and shared by both operands
