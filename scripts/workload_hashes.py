@@ -7,9 +7,12 @@ Runs each workload's set-up and body once, through ``benchmark/workloads.py``
 imported read-only, with ccgl taken from this checkout's ``src/`` and BLAS
 pinned to one thread as the benchmark does. It prints one JSON object: the
 seed and the sha256 of the atlas set-up ``cohort`` (its stacked series
-bytes), of the atlas ``embeddings`` and of the population ``probs``, ``dot``
-and ``graphml`` outputs. The cohort hash tells whether a divergence starts in
-the synthetic generator or in the encoder.
+bytes), of the atlas ``views`` (each prepared view's ``features``,
+``lap.adjacency`` and ``lap.values`` bytes in cohort order, from
+``encoder.prepare_views`` on the set-up cohort), of the atlas
+``embeddings`` and of the population ``probs``, ``dot`` and ``graphml``
+outputs. The cohort and views hashes tell whether a divergence starts in
+the synthetic generator, in connectivity estimation or in the encoder.
 
 With ``--against PREVIOUS.json`` (an object this script printed earlier), it
 also names on stderr every output whose hash differs from that run's, and
@@ -34,10 +37,21 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
+from ccgl.encoder import prepare_views  # noqa: E402
 from desk_stages import compare  # noqa: E402
 from workloads import WORKLOADS, Calls  # noqa: E402
 
 HASHED = ("atlas", "population")
+
+
+def views_hash(made, cfg) -> str:
+    """sha256 of every prepared view's features, adjacency and scaled Laplacian, in cohort order."""
+    digest = hashlib.sha256()
+    for views in prepare_views(made, cfg):
+        for view in views:
+            for array in (view.features, view.lap.adjacency, view.lap.values):
+                digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def main() -> None:
@@ -57,6 +71,8 @@ def main() -> None:
             if name == "atlas":
                 series = np.stack([p.series.values for p in inputs[0].patients])
                 hashes["cohort"] = hashlib.sha256(series.tobytes()).hexdigest()
+                made, _, cfg = inputs
+                hashes["views"] = views_hash(made, cfg)
             outcome = workload.run(inputs, Path(work) / name / "run", Calls())
             if outcome.problems:
                 sys.exit(f"{name}: output checks failed: {outcome.problems}")

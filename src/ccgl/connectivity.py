@@ -27,9 +27,10 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be square, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("correlation matrix contains non-finite entries")
-        if not np.allclose(arr, arr.T, rtol=0, atol=1e-10):
+        # with every entry finite these are allclose(rtol=0, atol=1e-10); initial keeps 0 x 0 to the range check
+        if np.abs(arr - arr.T).max(initial=0.0) > 1e-10:
             raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(arr), 1.0, rtol=0, atol=1e-10):
+        if np.abs(np.diag(arr) - 1.0).max(initial=0.0) > 1e-10:
             raise ValueError("correlation matrix must have unit diagonal")
         if arr.min() < -1.0 - 1e-10 or arr.max() > 1.0 + 1e-10:
             raise ValueError("correlation entries must lie in [-1, 1]")
@@ -98,6 +99,46 @@ class ViewGraph:
         return tuple((int(i), int(j), float(self.weights[i, j])) for i, j in zip(rows, cols))
 
 
+def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, nearest first.
+
+    Ties resolve toward the lower column index, so row i equals
+    ``np.argsort(dist[i], kind="stable")[:k]``. A partition finds each row's
+    k-th smallest value; every entry strictly below it is taken, plus the
+    lowest-index entries equal to it, and only those k are sorted.
+    """
+    rows = dist.shape[0]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    picked = dist <= kth
+    counts = picked.sum(axis=1)
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        raise ValueError(f"row {int(short[0])} has NaN distances; features must be finite")
+    surplus = np.flatnonzero(counts > k)
+    if surplus.size:
+        # more entries equal the k-th value than fit: keep the lowest-index ones
+        sub, cut = dist[surplus], kth[surplus]
+        closer, tied = sub < cut, sub == cut
+        room = k - closer.sum(axis=1, keepdims=True)
+        picked[surplus] = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = (np.flatnonzero(picked) % dist.shape[1]).reshape(rows, k)
+    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def symmetric_condition(a: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix, as ``np.linalg.cond(a)`` defines it.
+
+    A symmetric matrix's singular values are the absolute values of its
+    eigenvalues, so one ``eigvalsh`` replaces the SVD. A singular matrix
+    gives inf, the all-zero one (0 / 0) included.
+    """
+    magnitudes = np.abs(np.linalg.eigvalsh(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = magnitudes.max() / magnitudes.min()
+    return float(np.inf) if np.isnan(cond) else float(cond)
+
+
 def pearson_matrix(view: RoiTimeSeries) -> CorrelationMatrix:
     """Sample Pearson correlation between every pair of ROI columns."""
     x = view.values
@@ -127,7 +168,7 @@ def partial_corr_matrix(view: RoiTimeSeries, shrinkage: float = 0.1) -> Correlat
         raise ValueError(f"shrinkage must be in [0, 1], got {shrinkage}")
     cov = np.cov(x, rowvar=False, ddof=1)
     shrunk = (1.0 - shrinkage) * cov + shrinkage * np.diag(np.diag(cov))
-    cond = np.linalg.cond(shrunk)
+    cond = symmetric_condition(shrunk)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ValueError(
             f"shrunk covariance is numerically singular (condition {cond:.3g}); "
@@ -153,9 +194,10 @@ def build_fc_graph(view: RoiTimeSeries, pcd: np.ndarray, policy: EdgePolicy = Ed
     r = view.n_rois
     e = min(policy.per_node_top, r - 1)
 
-    strength = np.abs(partial)
-    np.fill_diagonal(strength, -np.inf)
-    partners = np.argsort(-strength, axis=1, kind="stable")[:, :e]
+    # only the partner set reaches the mask, so the order k_nearest sorts the k into does not matter
+    weakness = -np.abs(partial)
+    np.fill_diagonal(weakness, np.inf)
+    partners = k_nearest(weakness, e)
     mask = np.zeros((r, r), dtype=bool)
     np.put_along_axis(mask, partners, True, axis=1)
     weights = np.where(mask | mask.T, partial, 0.0)

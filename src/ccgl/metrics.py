@@ -10,9 +10,18 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .encoder import AttractionMatrix, pair_split
-from .population import k_nearest, knn_edges, require_finite_rows, squared_distances
+from .connectivity import k_nearest
+from .population import knn_edges, require_finite_rows, squared_distances
 
 HIST_BINS = 50
+
+
+def _require_binary(values: np.ndarray, what: str) -> None:
+    """Raise naming the first entry of ``values`` that is neither 0 nor 1."""
+    not_binary = np.flatnonzero((values != 0) & (values != 1))
+    if not_binary.size:
+        i = int(not_binary[0])
+        raise ValueError(f"{what} {i} is {values[i].item()!r}, expected 0 or 1")
 
 
 def auc(scores, labels) -> float:
@@ -27,9 +36,7 @@ def auc(scores, labels) -> float:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
     if not np.isfinite(s).all():
         raise ValueError(f"score {int(np.flatnonzero(~np.isfinite(s))[0])} is not finite")
-    not_binary = np.flatnonzero((y != 0) & (y != 1))
-    if not_binary.size:
-        raise ValueError(f"label {int(not_binary[0])} is {y[not_binary[0]].item()!r}, expected 0 or 1")
+    _require_binary(y, "label")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -79,6 +86,8 @@ def confusion_metrics(predictions, labels) -> ConfusionReport:
     y = np.asarray(labels)
     if preds.shape != y.shape or preds.size == 0:
         raise ValueError("predictions and labels must be equal-length and non-empty")
+    _require_binary(preds, "prediction")
+    _require_binary(y, "label")
     pos = y == 1
     pred_pos = preds == 1
     return ConfusionReport(
@@ -242,6 +251,7 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
         raise ValueError("empty training set")
     if y_train.shape != x_train.shape[:1]:
         raise ValueError(f"{y_train.size} training labels for {x_train.shape[0]} training patients")
+    _require_binary(y_train, "training label")
     if x_test.ndim != 2 or x_test.shape[1] != x_train.shape[1]:
         raise ValueError(f"test features of shape {x_test.shape} for {x_train.shape[1]} training feature columns")
     if not (1 <= k <= x_train.shape[0]):

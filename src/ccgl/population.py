@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, glorot
 from .config import DgcSettings, RunConfig
+from .connectivity import k_nearest
 
 PROB_FLOOR = 1e-12
 
@@ -78,33 +79,6 @@ def population_from_embeddings(cohort, per_patient_views) -> PopulationGraph:
         test_mask=np.array([s == "test" for s in splits]),
         ids=tuple(p.id for p in cohort.patients),
     )
-
-
-def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest entries, nearest first.
-
-    Ties resolve toward the lower column index, so row i equals
-    ``np.argsort(dist[i], kind="stable")[:k]``. A partition finds each row's
-    k-th smallest value; every entry strictly below it is taken, plus the
-    lowest-index entries equal to it, and only those k are sorted.
-    """
-    rows = dist.shape[0]
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    picked = dist <= kth
-    counts = picked.sum(axis=1)
-    short = np.flatnonzero(counts < k)
-    if short.size:
-        raise ValueError(f"row {int(short[0])} has NaN distances; features must be finite")
-    surplus = np.flatnonzero(counts > k)
-    if surplus.size:
-        # more entries equal the k-th value than fit: keep the lowest-index ones
-        sub, cut = dist[surplus], kth[surplus]
-        closer, tied = sub < cut, sub == cut
-        room = k - closer.sum(axis=1, keepdims=True)
-        picked[surplus] = closer | (tied & (np.cumsum(tied, axis=1) <= room))
-    cols = (np.flatnonzero(picked) % dist.shape[1]).reshape(rows, k)
-    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
 
 
 def require_finite_rows(x: np.ndarray, what: str) -> None:

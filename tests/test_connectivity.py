@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgl.cohort import RoiTimeSeries
-from ccgl.connectivity import EdgePolicy, ViewGraph, build_fc_graph, partial_corr_matrix, pearson_matrix
+from ccgl.connectivity import (
+    CONDITION_LIMIT,
+    CorrelationMatrix,
+    EdgePolicy,
+    ViewGraph,
+    build_fc_graph,
+    k_nearest,
+    partial_corr_matrix,
+    pearson_matrix,
+    symmetric_condition,
+)
 from tests.oracles import weights_from_edges
 
 
@@ -116,6 +126,109 @@ class TestPartialCorr:
         out = partial_corr_matrix(RoiTimeSeries(x), shrinkage=shrink).values
         assert np.allclose(out, out.T)
         assert out.min() >= -1.0 and out.max() <= 1.0
+
+
+class TestConditionGuard:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 999),
+        r=st.integers(2, 12),
+        t_share=st.floats(0.0, 1.0),
+        shrink=st.floats(0.0, 1.0),
+    )
+    def test_agrees_with_svd_condition(self, seed, r, t_share, shrink):
+        t = 3 + round(t_share * (2 * r - 3))
+        x = np.random.default_rng(seed).standard_normal((t, r))
+        cov = np.cov(x, rowvar=False, ddof=1)
+        shrunk = (1.0 - shrink) * cov + shrink * np.diag(np.diag(cov))
+        reference = np.linalg.cond(shrunk)
+        if reference < 1e8:
+            assert symmetric_condition(shrunk) == pytest.approx(reference, rel=1e-6)
+        if 1e11 <= reference <= 1e13:
+            return
+        if reference > CONDITION_LIMIT:
+            with pytest.raises(ValueError, match="increase shrinkage"):
+                partial_corr_matrix(RoiTimeSeries(x), shrinkage=shrink)
+        else:
+            partial_corr_matrix(RoiTimeSeries(x), shrinkage=shrink)
+
+    def test_constant_view_has_infinite_condition(self):
+        # an all-zero shrunk covariance is 0 / 0, which np.linalg.cond also reads as inf
+        with pytest.raises(ValueError, match=r"condition inf\); increase shrinkage"):
+            partial_corr_matrix(RoiTimeSeries(np.full((10, 4), 3.0)), shrinkage=0.5)
+
+
+OFFSETS = [0.0, 0.5e-10, 0.999e-10, 1e-10, 1.001e-10, 2e-10, 4e-6]
+
+
+class TestCorrelationMatrixChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 999),
+        r=st.integers(2, 6),
+        asymmetry=st.sampled_from(OFFSETS),
+        diagonal=st.sampled_from(OFFSETS),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    )
+    def test_same_verdict_as_allclose(self, seed, r, asymmetry, diagonal, signs):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-0.9, 0.9, (r, r))
+        values = (values + values.T) / 2.0
+        np.fill_diagonal(values, 1.0)
+        i, j = rng.choice(r, size=2, replace=False)
+        values[i, j] += signs[0] * asymmetry
+        values[j, j] += signs[1] * diagonal
+        if not np.allclose(values, values.T, rtol=0, atol=1e-10):
+            expected = "must be symmetric"
+        elif not np.allclose(np.diag(values), 1.0, rtol=0, atol=1e-10):
+            expected = "must have unit diagonal"
+        elif values.max() > 1.0 + 1e-10:
+            expected = "must lie in"
+        else:
+            assert CorrelationMatrix(values).values is not None
+            return
+        with pytest.raises(ValueError, match=expected):
+            CorrelationMatrix(values)
+
+    def test_non_finite_checked_before_symmetry(self):
+        values = np.eye(3)
+        values[0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationMatrix(values)
+
+    def test_empty_matrix_refused_by_the_range_check(self):
+        with pytest.raises(ValueError, match="zero-size array to reduction operation minimum"):
+            CorrelationMatrix(np.zeros((0, 0)))
+
+
+@st.composite
+def tied_rows(draw):
+    n = draw(st.integers(2, 12))
+    grid = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0])
+    cells = grid if draw(st.booleans()) else st.floats(-5.0, 5.0, allow_nan=False)
+    dist = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(dist, np.inf)
+    k = draw(st.integers(1, n - 1)) if draw(st.booleans()) else n - 1
+    return dist, k
+
+
+class TestKNearest:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_rows())
+    def test_rows_match_stable_argsort(self, case):
+        dist, k = case
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(k_nearest(dist, k), expected)
+
+    def test_negative_zero_ties_with_zero(self):
+        dist = np.array([[np.inf, 0.0, -0.0, -0.0], [0.0, np.inf, -0.0, 0.0]])
+        assert k_nearest(dist, 2).tolist() == [[1, 2], [0, 2]]
+
+    def test_nan_row_refused(self):
+        dist = np.array([[np.inf, 1.0, 2.0], [np.nan, np.inf, np.nan]])
+        with pytest.raises(ValueError, match="row 1 has NaN distances"):
+            k_nearest(dist, 2)
 
 
 class TestBuildFcGraph:

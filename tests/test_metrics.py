@@ -145,6 +145,20 @@ class TestConfusionMetrics:
         with pytest.raises(ValueError, match="non-empty"):
             confusion_metrics([], [])
 
+    @pytest.mark.parametrize(
+        "preds, labels, message",
+        [
+            ([1, 0, 1], [0, 1, 2], "label 2 is 2,"),
+            ([1, 0, 7], [0, 1, 1], "prediction 2 is 7,"),
+            ([1, -1, 0], [0, 1, 0], "prediction 1 is -1,"),
+            ([1, 0], [0.5, 1.0], "label 0 is 0.5,"),
+        ],
+    )
+    def test_value_outside_zero_one_rejected(self, preds, labels, message):
+        # a label 2 or a prediction 7 used to be counted as the negative class
+        with pytest.raises(ValueError, match=f"^{message} expected 0 or 1$"):
+            confusion_metrics(preds, labels)
+
 
 class TestAttractionStats:
     def test_single_patient(self):
@@ -304,6 +318,12 @@ class TestKnnBaseline:
     def test_test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"test features of shape \(2, 2\) for 3 training feature columns"):
             knn_baseline(np.eye(3), np.array([0, 1, 0]), np.zeros((2, 2)), k=1)
+
+    @pytest.mark.parametrize("labels, message", [([0, 2], "training label 1 is 2,"), ([-1, 1], "training label 0 is -1,")])
+    def test_label_outside_zero_one_rejected(self, labels, message):
+        # labels [0, 2] used to score the test point 2.0
+        with pytest.raises(ValueError, match=f"^{message} expected 0 or 1$"):
+            knn_baseline(np.array([[0.0], [1.0]]), np.array(labels), np.array([[0.9]]), k=1)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty training"):

@@ -1,4 +1,4 @@
-"""``scripts/workload_hashes.py``: one run hashes the atlas cohort and the atlas and population outputs and compares them."""
+"""``scripts/workload_hashes.py``: one run hashes the atlas cohort, prepared views and outputs and the population outputs and compares them."""
 
 import json
 import subprocess
@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-NAMES = ["cohort", "dot", "embeddings", "graphml", "probs"]
+NAMES = ["cohort", "dot", "embeddings", "graphml", "probs", "views"]
 
 
 def test_prints_the_four_output_hashes_and_names_each_that_differs(tmp_path):
@@ -19,5 +19,5 @@ def test_prints_the_four_output_hashes_and_names_each_that_differs(tmp_path):
     assert sorted(report["sha256"]) == NAMES
     assert all(len(digest) == 64 for digest in report["sha256"].values())
     assert proc.returncode == 1
-    summary = f"5 of 5 artifacts differ from {previous}"
+    summary = f"6 of 6 artifacts differ from {previous}"
     assert proc.stderr.splitlines() == [f"{name}: differs" for name in NAMES] + [summary]
