@@ -12,11 +12,14 @@ bytes), of the atlas ``views`` (each prepared view's ``features``,
 ``encoder.prepare_views`` on the set-up cohort), of the atlas
 ``embeddings`` and of the population ``probs``, ``dot`` and ``graphml``
 outputs. The cohort and views hashes tell whether a divergence starts in
-the synthetic generator, in connectivity estimation or in the encoder.
+the synthetic generator, in connectivity estimation or in the encoder. It
+also prints the population workload's ``test_auc`` and
+``knn_baseline_auc``, so one loop over seeds gives the classifier's AUC
+table.
 
 With ``--against PREVIOUS.json`` (an object this script printed earlier), it
 also names on stderr every output whose hash differs from that run's, and
-exits 1 if there is any.
+exits 1 if there is any. The AUCs are not compared.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def main() -> None:
     if previous is not None and previous["seed"] != args.seed:
         parser.error(f"--against holds seed {previous['seed']}, not {args.seed}")
 
-    hashes = {}
+    hashes, aucs = {}, {}
     with tempfile.TemporaryDirectory() as work:
         for name in HASHED:
             workload = WORKLOADS[name]
@@ -77,7 +80,9 @@ def main() -> None:
             if outcome.problems:
                 sys.exit(f"{name}: output checks failed: {outcome.problems}")
             hashes.update({key: hashlib.sha256(data).hexdigest() for key, data in outcome.outputs.items()})
-    print(json.dumps({"seed": args.seed, "sha256": hashes}, sort_keys=True))
+            if name == "population":
+                aucs = {key: outcome.extras[key][0] for key in ("test_auc", "knn_baseline_auc")}
+    print(json.dumps({"seed": args.seed, "sha256": hashes, "population_auc": aucs}, sort_keys=True))
     if previous is not None:
         sys.exit(compare(previous["sha256"], hashes, args.against))
 

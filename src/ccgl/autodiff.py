@@ -16,6 +16,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -335,11 +336,6 @@ def edge_relu(a, b, nbr):
     return _record(val, (a, b), lambda g: g.sum(axis=1), grad_b, pre=lambda g: g * (val > 0.0))
 
 
-def clamp_min(a, floor: float):
-    """max(a, floor) built from relu; gradient is 1 above the floor, 0 below."""
-    return add(relu(sub(a, floor)), floor)
-
-
 # ---------------------------------------------------------------------------
 # parameters, optimizer, checkpoints
 # ---------------------------------------------------------------------------
@@ -481,11 +477,25 @@ def adam_step(
 
 @contextmanager
 def atomic_write(path, mode: str = "w"):
-    """A handle on ``<path>.partial``, renamed onto ``path`` only once the block completes."""
+    """A handle on ``<path>.partial``, renamed onto ``path`` only once the block completes.
+
+    If the block raises, the partial file is removed and ``path`` keeps its
+    previous bytes. Text is written without newline translation, as csv needs.
+    """
     partial = f"{path}.partial"
-    with open(partial, mode) as fh:
-        yield fh
-    os.replace(partial, path)
+    try:
+        with open(partial, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        Path(partial).unlink(missing_ok=True)
+
+
+def write_json(doc, path) -> None:
+    """``doc`` as indented, key-sorted JSON with a trailing newline, through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_checkpoint(params: ParamStore, path) -> None:

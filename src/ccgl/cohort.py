@@ -556,10 +556,10 @@ def _apportion(n: int, ratios: np.ndarray, carry: np.ndarray):
         counts[pick] -= 1
         remainders[pick] = np.inf
     if n > 0 and counts[0] == 0:
+        # the counts sum to n > 0, so the larger of val and test has a seat to give
         donor = 2 if counts[2] >= counts[1] else 1
-        if counts[donor] > 0:
-            counts[donor] -= 1
-            counts[0] += 1
+        counts[donor] -= 1
+        counts[0] += 1
     new_carry = np.clip(quota - counts, -1.0, 1.0)
     return list(counts), new_carry
 
@@ -592,10 +592,6 @@ def split_cohort(cohort: Cohort, ratios, seed: int) -> Cohort:
                 assignment[pidx] = "val"
             else:
                 assignment[pidx] = "test"
-
-    for key, idxs in cells.items():
-        if len(idxs) >= 3 and not any(assignment[i] == "train" for i in idxs):
-            raise ValueError(f"cell (site={key[0]!r}, label={key[1]}) received no training patients")
 
     patients = tuple(
         replace(p, split=assignment[idx]) for idx, p in enumerate(cohort.patients)

@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
+from .autodiff import write_json
 from .cohort import MIN_WINDOW_LENGTH, ConfigError, SynthSpec, check_split_ratios, check_types, field_types, require
 from .connectivity import EdgePolicy
 
@@ -156,9 +157,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg.to_dict(), path)
 
 
 def default_config() -> RunConfig:

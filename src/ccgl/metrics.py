@@ -9,19 +9,12 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .autodiff import atomic_write
 from .encoder import AttractionMatrix, pair_split
 from .connectivity import k_nearest
-from .population import knn_edges, require_finite_rows, squared_distances
+from .population import knn_edges, require_binary, require_finite_rows, squared_distances
 
 HIST_BINS = 50
-
-
-def _require_binary(values: np.ndarray, what: str) -> None:
-    """Raise naming the first entry of ``values`` that is neither 0 nor 1."""
-    not_binary = np.flatnonzero((values != 0) & (values != 1))
-    if not_binary.size:
-        i = int(not_binary[0])
-        raise ValueError(f"{what} {i} is {values[i].item()!r}, expected 0 or 1")
 
 
 def auc(scores, labels) -> float:
@@ -36,7 +29,7 @@ def auc(scores, labels) -> float:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
     if not np.isfinite(s).all():
         raise ValueError(f"score {int(np.flatnonzero(~np.isfinite(s))[0])} is not finite")
-    _require_binary(y, "label")
+    require_binary(y, "label")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -86,8 +79,8 @@ def confusion_metrics(predictions, labels) -> ConfusionReport:
     y = np.asarray(labels)
     if preds.shape != y.shape or preds.size == 0:
         raise ValueError("predictions and labels must be equal-length and non-empty")
-    _require_binary(preds, "prediction")
-    _require_binary(y, "label")
+    require_binary(preds, "prediction")
+    require_binary(y, "label")
     pos = y == 1
     pred_pos = preds == 1
     return ConfusionReport(
@@ -135,7 +128,7 @@ def attraction_stats(m: AttractionMatrix) -> AttractionSummary:
 
 def write_attraction_csv(summary: AttractionSummary, values_path, hist_path) -> None:
     """Raw (pair_type, value) rows plus a companion 50-bin histogram file."""
-    with open(values_path, "w", newline="") as fh:
+    with atomic_write(values_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_type", "value"])
         for v in summary.homo_values:
@@ -143,7 +136,7 @@ def write_attraction_csv(summary: AttractionSummary, values_path, hist_path) -> 
         for v in summary.heter_values:
             writer.writerow(["heter", repr(float(v))])
     edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)
-    with open(hist_path, "w", newline="") as fh:
+    with atomic_write(hist_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_type", "bin_left", "bin_right", "count"])
         for name, stats in (("homo", summary.homo), ("heter", summary.heter)):
@@ -191,10 +184,8 @@ def export_population_graph(
         text = _render_graphml(ids, labels, splits, edges, dists)
     else:
         raise ValueError(f"unknown export format {fmt!r} (expected 'dot' or 'graphml')")
-    try:
-        out_path.write_text(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write graph export to {out_path}: {exc}") from exc
+    with atomic_write(out_path) as fh:
+        fh.write(text)
     return out_path
 
 
@@ -251,7 +242,7 @@ def knn_baseline(train_features, train_labels, test_features, k: int):
         raise ValueError("empty training set")
     if y_train.shape != x_train.shape[:1]:
         raise ValueError(f"{y_train.size} training labels for {x_train.shape[0]} training patients")
-    _require_binary(y_train, "training label")
+    require_binary(y_train, "training label")
     if x_test.ndim != 2 or x_test.shape[1] != x_train.shape[1]:
         raise ValueError(f"test features of shape {x_test.shape} for {x_train.shape[1]} training feature columns")
     if not (1 <= k <= x_train.shape[0]):

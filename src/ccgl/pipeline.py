@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import atomic_write, load_checkpoint, save_checkpoint
+from .autodiff import atomic_write, load_checkpoint, save_checkpoint, write_json
 from .cohort import Cohort, load_cohort, load_snapshot, read_npz, save_snapshot, split_cohort, standardized_pcd, synth_cohort
 from .config import RunConfig, save_config
 from .connectivity import pearson_matrix
@@ -55,7 +54,7 @@ def stage_data(cfg: RunConfig, seed: int) -> Cohort:
 
 
 def _write_history_csv(history, path: Path, columns) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in history:
@@ -153,7 +152,7 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
     base_scores, _ = knn_baseline(features[train_mask], pop.labels[train_mask], features[test], k)
     run["knn_baseline_auc"] = auc(base_scores, pop.labels[test])
 
-    with open(out / "predictions.csv", "w", newline="") as fh:
+    with atomic_write(out / "predictions.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "split", "label", "prob_class0", "prob_class1", "predicted"])
         for i, p in enumerate(cohort.patients):
@@ -164,9 +163,7 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
     summary = attraction_stats(similarity_matrix(embeddings[:, :2].reshape(-1, embeddings.shape[2])))
     write_attraction_csv(summary, out / "attraction.csv", out / "attraction_hist.csv")
 
-    with open(out / "metrics_run.json", "w") as fh:
-        json.dump(run, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run, out / "metrics_run.json")
     return run
 
 
@@ -211,7 +208,5 @@ def run_pipeline(cfg: RunConfig) -> dict:
     aggregated = _aggregate(runs)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(aggregated, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(aggregated, out / "metrics.json")
     return aggregated

@@ -17,8 +17,6 @@ from .autodiff import ParamStore, Tensor, glorot
 from .config import DgcSettings, RunConfig
 from .connectivity import k_nearest
 
-PROB_FLOOR = 1e-12
-
 
 @dataclass
 class PopulationGraph:
@@ -31,7 +29,7 @@ class PopulationGraph:
 
     def __post_init__(self):
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
         for name in ("train_mask", "val_mask", "test_mask"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
         n = self.node_features.shape[0]
@@ -40,6 +38,8 @@ class PopulationGraph:
         for name in ("labels", "train_mask", "val_mask", "test_mask"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
+        require_binary(self.labels, "label of node")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
         roles = self.train_mask.astype(np.int64) + self.val_mask + self.test_mask
         if (roles > 1).any():
             raise ValueError("split masks must be disjoint")
@@ -79,6 +79,14 @@ def population_from_embeddings(cohort, per_patient_views) -> PopulationGraph:
         test_mask=np.array([s == "test" for s in splits]),
         ids=tuple(p.id for p in cohort.patients),
     )
+
+
+def require_binary(values: np.ndarray, what: str) -> None:
+    """Raise naming the first entry of ``values`` that is neither 0 nor 1."""
+    not_binary = np.flatnonzero((values != 0) & (values != 1))
+    if not_binary.size:
+        i = int(not_binary[0])
+        raise ValueError(f"{what} {i} is {np.asarray(values[i]).item()!r}, expected 0 or 1")
 
 
 def require_finite_rows(x: np.ndarray, what: str) -> None:
@@ -142,12 +150,20 @@ def _edge_conv_t(x, nbr: np.ndarray, leaves: dict, prefix: str, aggregation: str
     return ad.add(ad.reduce_max(ad.reshape(messages, (n, k, -1)), axis=1), b2)
 
 
+def _focal(pt, gamma: float):
+    """-(1 - p)^gamma * log(p) per entry: a Tensor on the tape, or an ndarray for numpy ``pt``."""
+    return ad.mul(ad.power(ad.sub(1.0, pt), gamma), ad.neg(ad.log(pt)))
+
+
 def focal_loss(prob_true_class, gamma: float):
-    """-(1 - p)^gamma * log(p) with p clamped to [1e-12, 1]; gamma=0 is cross-entropy."""
+    """-(1 - p)^gamma * log(p) for p in [0, 1], inf at p = 0; gamma=0 is cross-entropy."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    p = np.clip(np.asarray(prob_true_class, dtype=np.float64), PROB_FLOOR, 1.0)
-    out = -((1.0 - p) ** gamma) * np.log(p)
+    p = np.asarray(prob_true_class, dtype=np.float64)
+    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if outside.size:
+        raise ValueError(f"probability {outside[0]} is {p.flat[outside[0]].item()!r}, expected a value in [0, 1]")
+    out = _focal(p, gamma)
     return out if out.ndim else float(out)
 
 
@@ -196,9 +212,7 @@ def dgc_forward(pop: PopulationGraph, params: ParamStore, settings: DgcSettings)
 
 def _focal_batch_t(probs: Tensor, labels: np.ndarray, mask: np.ndarray, gamma: float) -> Tensor:
     rows = np.flatnonzero(mask)
-    pt = ad.take(probs, (rows, labels[rows]))
-    pt = ad.clamp_min(pt, PROB_FLOOR)
-    return ad.reduce_mean(ad.mul(ad.power(ad.sub(1.0, pt), gamma), ad.neg(ad.log(pt))))
+    return ad.reduce_mean(_focal(ad.take(probs, (rows, labels[rows])), gamma))
 
 
 def _selection_metric(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray, gamma: float) -> float:
@@ -209,8 +223,7 @@ def _selection_metric(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray, g
     """
     if not mask.any():
         return 0.0
-    pt = np.clip(probs[mask, labels[mask]], PROB_FLOOR, 1.0)
-    return -float(np.mean(focal_loss(pt, gamma)))
+    return -float(np.mean(_focal(probs[mask, labels[mask]], gamma)))
 
 
 def train_dgc(pop: PopulationGraph, cfg: RunConfig, seed: int | None = None):

@@ -25,7 +25,7 @@ from ccgl.cohort import (
     standardized_pcd,
     synth_cohort,
 )
-from ccgl.cohort import _subtype_precision_templates
+from ccgl.cohort import _apportion, _subtype_precision_templates
 
 
 class TestLoadCohort:
@@ -507,6 +507,22 @@ class TestSplitCohort:
             cells.setdefault((p.site, p.label), []).append(p.split)
         for cell, splits in cells.items():
             assert "train" in splits, f"cell {cell} has no train patient"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+        train=st.floats(1e-3, 1.0),
+        val_share=st.floats(0.0, 1.0),
+    )
+    def test_apportion_gives_every_nonempty_cell_a_training_seat(self, sizes, train, val_share):
+        # split_cohort chains the carry from cell to cell, as here
+        val = (1.0 - train) * val_share
+        ratios = np.array([train, val, 1.0 - train - val])
+        carry = np.zeros(3)
+        for n in sizes:
+            counts, carry = _apportion(n, ratios, carry)
+            assert min(counts) >= 0 and sum(counts) == n
+            assert counts[0] >= 1 or n == 0
 
     def test_invalid_ratios(self, small_cohort):
         with pytest.raises(ValueError, match="sum to 1"):

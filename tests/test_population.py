@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
@@ -18,6 +18,7 @@ from ccgl.population import (
     knn_edges,
     patient_embedding,
     population_from_embeddings,
+    squared_distances,
     train_dgc,
 )
 
@@ -200,6 +201,25 @@ class TestFocalLoss:
         b = a + 0.02
         assert focal_loss(a, gamma) >= focal_loss(b, gamma)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    def test_zero_probability_is_infinite(self):
+        assert focal_loss(0.0, 2.0) == np.inf
+        assert np.array_equal(focal_loss(np.array([1e-300, 0.0]), 0.0), [-np.log(1e-300), np.inf])
+
+    @pytest.mark.parametrize("bad", [1.5, -1e-300, np.nan, np.inf])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"^probability 1 is {bad!r}, expected a value in \[0, 1\]$"):
+            focal_loss(np.array([0.5, bad, 2.0]), 2.0)
+
+    def test_gradient_reaches_a_node_far_below_1e_12(self):
+        # node 0's true class 1 gets p = 1e-18: the loss's slope in its logit is -(1 - p), over 3 nodes
+        logits = ad.Tensor(np.array([[0.0, np.log(1e-18)], [0.3, -0.2], [-0.1, 0.4]]))
+        e = ad.exp(ad.sub(logits, logits.data.max(axis=1, keepdims=True)))
+        probs = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
+        assert probs.data[0, 1] == pytest.approx(1e-18, rel=1e-9)
+        ad.backward(_focal_batch_t(probs, np.array([1, 0, 1]), np.ones(3, dtype=bool), 2.0))
+        assert logits.grad[0, 1] == pytest.approx(-1.0 / 3.0, rel=1e-9)
+
 
 class TestDgcForward:
     def test_rows_sum_to_one(self):
@@ -363,6 +383,23 @@ class TestTrainDgc:
         with pytest.raises(ValueError, match=r"^non-finite classification loss at epoch 2$"):
             train_dgc(random_population(16, p=12), self._config(), seed=0)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    def test_underflowed_probability_stops_training(self, monkeypatch):
+        # scaled classifier weights push some training node's p_true below the smallest double
+        real = population.init_dgc_params
+
+        def saturated(in_dim, settings, seed):
+            store = real(in_dim, settings, seed)
+            store.values["classifier"] *= 1e6
+            return store
+
+        monkeypatch.setattr(population, "init_dgc_params", saturated)
+        pop, cfg = random_population(16, p=12), self._config()
+        probs = dgc_forward(pop, saturated(6, cfg.dgc, 0), settings=cfg.dgc)
+        assert (probs[pop.train_mask, pop.labels[pop.train_mask]] == 0.0).any()
+        with pytest.raises(ValueError, match=r"^non-finite classification loss at epoch 0$"):
+            train_dgc(pop, cfg, seed=0)
+
     def test_returns_best_validation_epoch(self):
         pop = random_population(12, p=16)
         cfg = self._config(train=TrainSettings(cgl_epochs=1, dgc_epochs=25, dgc_lr=0.02))
@@ -391,6 +428,14 @@ def test_population_mask_validation():
 
 
 
+@pytest.mark.parametrize("bad, shown", [(-1, "-1"), (2, "2"), (0.5, "0.5"), (None, "None")])
+def test_population_rejects_labels_other_than_zero_and_one(bad, shown):
+    pop = random_population(p=5, d=2)
+    labels = [0, 1, 1, bad, 0]
+    with pytest.raises(ValueError, match=rf"^label of node 3 is {shown}, expected 0 or 1$"):
+        PopulationGraph(pop.node_features, labels, pop.train_mask, pop.val_mask, pop.test_mask)
+
+
 def test_population_rejects_ids_of_the_wrong_length():
     pop = random_population(p=5, d=2)
     masks = (pop.train_mask, pop.val_mask, pop.test_mask)
@@ -410,3 +455,48 @@ def test_population_from_embeddings_requires_splits():
     pop = population_from_embeddings(cohort, views)
     assert pop.n_patients == 4
     assert pop.ids == tuple(p.id for p in cohort.patients)
+
+
+@st.composite
+def relabelled_populations(draw):
+    """(graph, the same graph with its nodes reordered by a drawn permutation, the permutation, k)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, k = draw(st.integers(12, 40)), draw(st.integers(2, 5))
+    features = rng.standard_normal((p, 6))
+    dist = np.sort(squared_distances(features, features) + np.diag(np.full(p, np.inf)), axis=1)
+    # k_nearest breaks distance ties by index, which a relabelling changes
+    assume(np.diff(dist[:, : k + 1], axis=1).min() > 1e-9)
+    role = rng.permutation(np.arange(p) % 3)
+    labels = rng.integers(0, 2, p)
+    perm = rng.permutation(p)
+    ids = np.array([f"p{i}" for i in range(p)])
+
+    def graph(order):
+        masks = [role[order] == r for r in range(3)]
+        return PopulationGraph(features[order], labels[order], *masks, ids=ids[order])
+
+    return graph(np.arange(p)), graph(perm), perm, k
+
+
+class TestPatientRelabelling:
+    """Relabelling the patients permutes the classifier's probabilities with them."""
+
+    @pytest.mark.parametrize("aggregation", ["sum", "max"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=relabelled_populations())
+    def test_probabilities_permute_with_the_patients(self, aggregation, case):
+        pop, moved, perm, k = case
+        settings_ = DgcSettings(k=k, hidden1=6, hidden2=5, aggregation=aggregation)
+        params = init_dgc_params(6, settings_, seed=0)
+        before = dgc_forward(pop, params, settings=settings_)
+        np.testing.assert_allclose(dgc_forward(moved, params, settings=settings_), before[perm], rtol=0, atol=1e-12)
+        cfg = RunConfig(
+            synth=SynthSpec(n_patients=8, n_rois=8, n_timepoints=160),
+            dgc=settings_,
+            train=TrainSettings(cgl_epochs=1, dgc_epochs=4, dgc_lr=0.01),
+            seeds=(0,),
+        )
+        trained, _ = train_dgc(pop, cfg, seed=0)
+        trained_moved, _ = train_dgc(moved, cfg, seed=0)
+        after = dgc_forward(pop, trained, settings=settings_)
+        np.testing.assert_allclose(dgc_forward(moved, trained_moved, settings=settings_), after[perm], rtol=0, atol=1e-12)

@@ -1,4 +1,4 @@
-"""``scripts/workload_hashes.py``: one run hashes the atlas cohort, prepared views and outputs and the population outputs and compares them."""
+"""``scripts/workload_hashes.py``: one run hashes the atlas cohort, prepared views and outputs and the population outputs, compares the hashes, and prints the population AUCs."""
 
 import json
 import subprocess
@@ -18,6 +18,8 @@ def test_prints_the_four_output_hashes_and_names_each_that_differs(tmp_path):
     assert report["seed"] == 1
     assert sorted(report["sha256"]) == NAMES
     assert all(len(digest) == 64 for digest in report["sha256"].values())
+    assert sorted(report["population_auc"]) == ["knn_baseline_auc", "test_auc"]
+    assert all(0.0 <= value <= 1.0 for value in report["population_auc"].values())
     assert proc.returncode == 1
     summary = f"6 of 6 artifacts differ from {previous}"
     assert proc.stderr.splitlines() == [f"{name}: differs" for name in NAMES] + [summary]
