@@ -1,16 +1,17 @@
 """Run the five pipeline stages of desk_config() at one seed and report them.
 
-    PYTHONPATH=src python3 scripts/desk_stages.py --seed 97 --out runs/desk-stages
-    PYTHONPATH=src python3 scripts/desk_stages.py --seed 97 --out runs/desk-stages --against before.json
+    python3 scripts/desk_stages.py --seed 97 --out runs/desk-stages
+    python3 scripts/desk_stages.py --seed 97 --out runs/desk-stages --against before.json
 
 The desk benchmark workload always runs seed 0; this script runs any seed
-directly, stage by stage, with BLAS pinned to one thread as the benchmark
-does. It prints one JSON object: wall time and minor page faults per stage
-(``stage_minflt``, from ``getrusage`` deltas of this process; steadier than
-wall time on a shared host), the run's test AUC and KNN-baseline AUC, and
-the sha256 of every artifact in the seed directory
-(``effective_config.json`` and ``series.npz`` hold the output path, so
-compare those two only between runs with the same ``--out``).
+directly, stage by stage, with ccgl taken from this checkout's ``src/`` and
+BLAS pinned to one thread as the benchmark does. It prints one JSON object:
+wall time and minor page faults per stage (``stage_minflt``, from
+``getrusage`` deltas of this process; steadier than wall time on a shared
+host), the run's test AUC and KNN-baseline AUC, and the sha256 of every
+artifact in the seed directory (``effective_config.json`` and ``series.npz``
+hold the output path, so compare those two only between runs with the same
+``--out``).
 
 With ``--against PREVIOUS.json`` (an object this script printed earlier), it
 also names on stderr every artifact whose hash differs from that run's, or
@@ -30,6 +31,9 @@ import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from ccgl import pipeline  # noqa: E402
 from ccgl.config import desk_config  # noqa: E402

@@ -11,6 +11,7 @@ gradient auditable against central finite differences.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -496,6 +497,18 @@ def write_json(doc, path) -> None:
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """``header`` then each of ``rows`` as a CSV table, through ``atomic_write``.
+
+    csv writes a float, ``np.float64`` included, as its ``repr``, which reads
+    back as the same float.
+    """
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_checkpoint(params: ParamStore, path) -> None:

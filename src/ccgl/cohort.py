@@ -12,7 +12,7 @@ import json
 import math
 import zipfile
 from contextlib import contextmanager
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import count
 from pathlib import Path
@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autodiff import atomic_write
+from .autodiff import atomic_write, write_json
 
 MIN_WINDOW_LENGTH = 30
 PCD_SIZE = 7
@@ -170,21 +170,18 @@ def check_types(obj, paths=None) -> None:
     """
     for name, (kind, is_tuple, optional) in field_types(type(obj)).items():
         value = getattr(obj, name)
-        if is_tuple:
-            if type(value) is tuple and all(type(v) is kind and (kind is not float or _finite(v)) for v in value):
-                continue
-        elif (type(value) is kind and (kind is not float or _finite(value))) or (value is None and optional):
+        if value is None and optional:
             continue
         path = paths.get(name, name) if paths else name
         if is_tuple:
             object.__setattr__(obj, name, json_list(kind, value, path))
-        elif is_dataclass(kind):
+        elif kind not in _ACCEPTED:  # a dataclass field
             if not isinstance(value, kind):
                 raise ConfigError(path, f"must be an instance of {kind.__name__}, got {value!r}")
-        elif _accepts(kind, value):
-            object.__setattr__(obj, name, value.item() if isinstance(value, np.generic) else value)
-        else:
+        elif not _accepts(kind, value):
             raise ConfigError(path, f"must be a JSON {_NOUNS[kind]}, got {value!r}")
+        elif isinstance(value, np.generic):
+            object.__setattr__(obj, name, value.item())
 
 
 def json_list(kind, value, path: str) -> tuple:
@@ -335,9 +332,7 @@ def _read_series_csv(csv_path: Path) -> np.ndarray:
 def save_snapshot(cohort: Cohort, out: Path) -> None:
     """Write ``cohort.json`` (every record field but the series) and ``series.npz`` (one array per id) under ``out``."""
     entries = [{**{key: getattr(p, key) for key in ENTRY_FIELDS}, "pcd": p.pcd.tolist()} for p in cohort.patients]
-    meta = {"roi_count": cohort.roi_count, "patients": entries}
-    with atomic_write(out / "cohort.json") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    write_json({"roi_count": cohort.roi_count, "patients": entries}, out / "cohort.json")
     with atomic_write(out / "series.npz", "wb") as fh:
         np.savez(fh, **{p.id: p.series.values for p in cohort.patients})
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .autodiff import atomic_write
+from .autodiff import atomic_write, write_csv
 from .encoder import AttractionMatrix, pair_split
 from .connectivity import k_nearest
 from .population import knn_edges, require_binary, require_finite_rows, squared_distances
@@ -128,22 +128,14 @@ def attraction_stats(m: AttractionMatrix) -> AttractionSummary:
 
 def write_attraction_csv(summary: AttractionSummary, values_path, hist_path) -> None:
     """Raw (pair_type, value) rows plus a companion 50-bin histogram file."""
-    with atomic_write(values_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_type", "value"])
-        for v in summary.homo_values:
-            writer.writerow(["homo", repr(float(v))])
-        for v in summary.heter_values:
-            writer.writerow(["heter", repr(float(v))])
-    edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)
-    with atomic_write(hist_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_type", "bin_left", "bin_right", "count"])
-        for name, stats in (("homo", summary.homo), ("heter", summary.heter)):
-            if stats is None:
-                continue
-            for b, count in enumerate(stats["histogram"]):
-                writer.writerow([name, repr(float(edges[b])), repr(float(edges[b + 1])), count])
+    pairs = (("homo", summary.homo_values), ("heter", summary.heter_values))
+    # map(float) streams the rows: tolist() would hold every value at once, and csv writes np.float64 cells more slowly
+    values = chain.from_iterable(zip(repeat(name), map(float, v)) for name, v in pairs)
+    write_csv(values_path, ["pair_type", "value"], values)
+    edges = np.linspace(-1.0, 1.0, HIST_BINS + 1).tolist()
+    stats = (("homo", summary.homo), ("heter", summary.heter))
+    bins = chain.from_iterable(zip(repeat(name), edges, edges[1:], s["histogram"]) for name, s in stats if s is not None)
+    write_csv(hist_path, ["pair_type", "bin_left", "bin_right", "count"], bins)
 
 
 def _two_nearest(features: np.ndarray):

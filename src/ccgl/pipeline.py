@@ -7,13 +7,12 @@ whole chain is reproducible from the archived effective config.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import atomic_write, load_checkpoint, save_checkpoint, write_json
+from .autodiff import atomic_write, load_checkpoint, save_checkpoint, write_csv, write_json
 from .cohort import Cohort, load_cohort, load_snapshot, read_npz, save_snapshot, split_cohort, standardized_pcd, synth_cohort
 from .config import RunConfig, save_config
 from .connectivity import pearson_matrix
@@ -53,14 +52,6 @@ def stage_data(cfg: RunConfig, seed: int) -> Cohort:
     return cohort
 
 
-def _write_history_csv(history, path: Path, columns) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in history:
-            writer.writerow([row[c] if isinstance(row[c], int) else repr(float(row[c])) for c in columns])
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -80,7 +71,7 @@ def stage_train_cgl(cfg: RunConfig, seed: int):
     prepared = prepare_views(cohort, cfg)
     params, history = train_cgl(cohort, cfg, seed, prepared=prepared)
     save_checkpoint(params, out / "cgl_params.json")
-    _write_history_csv(history, out / "cgl_history.csv", ["epoch", "loss", "mean_homo", "mean_heter"])
+    write_csv(out / "cgl_history.csv", list(history[0]), (row.values() for row in history))
     embeddings = np.asarray(embed_cohort(cohort, params, cfg, prepared=prepared), dtype=np.float64)
     with atomic_write(out / "embeddings.npz", "wb") as fh:
         np.savez(fh, embeddings=embeddings, cgl_params_sha256=_sha256(out / "cgl_params.json"))
@@ -111,7 +102,7 @@ def stage_train_dgc(cfg: RunConfig, seed: int):
     _, _, pop = _load_population(out)
     params, history = train_dgc(pop, cfg, seed)
     save_checkpoint(params, out / "dgc_params.json")
-    _write_history_csv(history, out / "dgc_history.csv", ["epoch", "loss", "val_metric"])
+    write_csv(out / "dgc_history.csv", list(history[0]), (row.values() for row in history))
     return params, history
 
 
@@ -152,13 +143,8 @@ def stage_evaluate(cfg: RunConfig, seed: int) -> dict:
     base_scores, _ = knn_baseline(features[train_mask], pop.labels[train_mask], features[test], k)
     run["knn_baseline_auc"] = auc(base_scores, pop.labels[test])
 
-    with atomic_write(out / "predictions.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "split", "label", "prob_class0", "prob_class1", "predicted"])
-        for i, p in enumerate(cohort.patients):
-            writer.writerow(
-                [p.id, p.split, p.label, repr(float(probs[i, 0])), repr(float(probs[i, 1])), int(predicted[i])]
-            )
+    rows = zip(pop.ids, (p.split for p in cohort.patients), pop.labels.tolist(), *probs.T.tolist(), predicted.tolist())
+    write_csv(out / "predictions.csv", ["patient_id", "split", "label", "prob_class0", "prob_class1", "predicted"], rows)
 
     summary = attraction_stats(similarity_matrix(embeddings[:, :2].reshape(-1, embeddings.shape[2])))
     write_attraction_csv(summary, out / "attraction.csv", out / "attraction_hist.csv")

@@ -67,6 +67,8 @@ def patient_embedding(view_embeddings) -> np.ndarray:
 
 def population_from_embeddings(cohort, per_patient_views) -> PopulationGraph:
     """Aggregate per-view embeddings into a population graph matching the cohort."""
+    if len(per_patient_views) != len(cohort.patients):
+        raise ValueError(f"{len(per_patient_views)} patient embeddings for a cohort of {len(cohort.patients)} patients")
     features = np.stack([patient_embedding(views) for views in per_patient_views])
     splits = [p.split for p in cohort.patients]
     if "unassigned" in splits:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -520,3 +521,39 @@ class TestCheckpoint:
         store = make_store(w=np.ones(1))
         with pytest.raises(ValueError, match="duplicate"):
             store.add("w", np.ones(2))
+
+
+class TestWriteCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False), st.booleans()).map(lambda t: np.float64(t[0]) if t[1] else t[0]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_a_float_cell_is_its_repr_and_reads_back_the_same(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "floats.csv"
+        ad.write_csv(path, ["v"] * len(values), [values])
+        with open(path, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert row == [repr(float(v)) for v in values]
+        assert [float(cell).hex() for cell in row] == [float(v).hex() for v in values]
+
+    def test_ints_and_strings_are_written_unchanged(self, tmp_path):
+        path = tmp_path / "table.csv"
+        ad.write_csv(path, ["patient_id", "split", "label", "n"], [("p0", "train", 0, -5), ("p1", "test", 1, 2**70)])
+        assert path.read_bytes() == b"patient_id,split,label,n\r\np0,train,0,-5\r\np1,test,1,1180591620717411303424\r\n"
+
+    def test_rows_that_raise_part_way_keep_the_previous_file(self, tmp_path):
+        path = tmp_path / "attraction.csv"
+        path.write_bytes(b"pair_type,value\r\nhomo,0.5\r\n")
+
+        def rows():
+            yield ("homo", 0.25)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            ad.write_csv(path, ["pair_type", "value"], rows())
+        assert path.read_bytes() == b"pair_type,value\r\nhomo,0.5\r\n"
+        assert sorted(tmp_path.iterdir()) == [path]

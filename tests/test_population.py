@@ -457,6 +457,15 @@ def test_population_from_embeddings_requires_splits():
     assert pop.ids == tuple(p.id for p in cohort.patients)
 
 
+@pytest.mark.parametrize("n_views", [11, 13])
+def test_population_from_embeddings_names_both_counts_on_a_mismatch(n_views):
+    spec = SynthSpec(n_patients=12, n_rois=8, n_timepoints=160)
+    cohort = split_cohort(synth_cohort(spec, 0), (0.7, 0.1, 0.2), 0)
+    views = [[np.ones(4)] for _ in range(n_views)]
+    with pytest.raises(ValueError, match=f"^{n_views} patient embeddings for a cohort of 12 patients$"):
+        population_from_embeddings(cohort, views)
+
+
 @st.composite
 def relabelled_populations(draw):
     """(graph, the same graph with its nodes reordered by a drawn permutation, the permutation, k)."""
