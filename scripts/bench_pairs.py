@@ -12,8 +12,11 @@ prints one JSON object in the layout of a ``results`` entry of the committed
 the change was better, the relative change of the median, the parent's
 quartile spread (q3 - q1) and whether the gain rule holds: the change is
 better in at least 9 of 10 pairs and its median beats the parent's by more
-than that spread. Progress goes to stderr. A run that prints no result
-object stops the script.
+than that spread. It also records each run's ``attempted`` (top-level calls
+made in the run's closed loop; a desk repetition is 4 calls), since a
+faster body fits more repetitions into ``--seconds`` and the benchmark's
+peak RSS grows with them. Progress goes to stderr. A run that prints no
+result object stops the script.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ def main(argv=None) -> None:
                 "first_in_pair": first_in_pair,
                 "all_correct": all(r["correct"] for r in runs),
                 "failed": sum(r["failed"] for r in runs),
+                "attempted": {side: [r["attempted"] for r in results[side]] for side in SIDES},
                 "metrics": metrics,
             },
             indent=1,

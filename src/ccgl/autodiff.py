@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 CHECKPOINT_VERSION = "ccgl-ckpt-1"
 
@@ -105,25 +104,19 @@ def value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _record(out, operands, *vjps, pre=None):
+def _record(out, operands, *vjps):
     """A primitive's result ``out``, recorded with its Tensor operands as parents.
 
     ``vjps[i]`` maps the output's gradient to operand i's gradient piece. A
     numpy operand is a constant: it is not recorded and its vjp is never
     called, so with no Tensor operand ``out`` comes back as a plain ndarray.
-    ``pre`` maps the output's gradient once, before the vjps share it.
     """
     out = np.asarray(out, dtype=np.float64)
     recorded = [(t, vjp) for t, vjp in zip(operands, vjps) if isinstance(t, Tensor)]
     if not recorded:
         return out
     parents, fns = zip(*recorded)
-
-    def vjp(g):
-        g = g if pre is None else pre(g)
-        return tuple(fn(g) for fn in fns)
-
-    return Tensor(out, parents, vjp)
+    return Tensor(out, parents, lambda g: tuple(fn(g) for fn in fns))
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -201,11 +194,6 @@ def transpose(a):
     if x.ndim != 2:
         raise ValueError(f"transpose expects a matrix, got shape {x.shape}")
     return _record(x.T, (a,), lambda g: g.T)
-
-
-def reshape(a, shape):
-    x = value(a)
-    return _record(x.reshape(shape), (a,), lambda g: g.reshape(x.shape))
 
 
 def relu(a):
@@ -304,37 +292,6 @@ def _scatter_add(g: np.ndarray, index: tuple, shape) -> np.ndarray:
     rows = np.ravel_multi_index(index, shape[: len(index)], mode="wrap")
     flat = (rows[..., None] * width + np.arange(width)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
-
-
-def edge_relu(a, b, nbr):
-    """relu(a[i] + b[nbr[i, j]]) as an (n, k, H) tensor, for a (n, H), b (m, H) and integer nbr (n, k).
-
-    The fused form of gathering neighbour rows, adding each node's own row
-    and applying relu: only the (n, k, H) output is kept, and the backward
-    gives the same bits as that chain of primitives. b's gradient is one
-    product with the (m, n*k) 0/1 incidence of ``nbr``, built when backward
-    runs: a csr row adds its picks from zero in pick order, as ``take``'s
-    bincount does.
-    """
-    x, y = value(a), value(b)
-    nbr = np.asarray(nbr, dtype=np.int64)
-    if x.ndim != 2 or y.ndim != 2 or nbr.ndim != 2 or x.shape[1] != y.shape[1] or nbr.shape[0] != x.shape[0]:
-        raise ValueError(f"edge_relu shape mismatch: a {x.shape}, b {y.shape}, nbr {nbr.shape}")
-    if nbr.size and (nbr.min() < 0 or nbr.max() >= y.shape[0]):  # np.take would wrap a negative index
-        raise ValueError(f"edge_relu neighbours must lie in [0, {y.shape[0] - 1}]")
-    val = np.take(y, nbr, axis=0)
-    val += x[:, None, :]
-    np.maximum(val, 0.0, out=val)
-
-    def grad_b(g):
-        picks = nbr.ravel()
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(picks, minlength=y.shape[0]))))
-        order = np.argsort(picks, kind="stable")
-        incidence = sp.csr_array((np.ones(picks.size), order, indptr), shape=(y.shape[0], picks.size))
-        return incidence @ g.reshape(picks.size, y.shape[1])
-
-    # the relu mask is applied to the gradient once and shared by both operands
-    return _record(val, (a, b), lambda g: g.sum(axis=1), grad_b, pre=lambda g: g * (val > 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,8 @@ def export_population_graph(
     if x.ndim != 2 or x.shape[0] < 3:
         raise ValueError(f"need >= 3 patients to export, got shape {x.shape}")
     n = x.shape[0]
+    labels = np.asarray(labels)
+    require_binary(labels, "label of node")
     labels = [int(v) for v in labels]
     ids = [str(v) for v in ids] if ids is not None else [f"{i}" for i in range(n)]
     splits = [str(v) for v in splits] if splits is not None else ["unassigned"] * n

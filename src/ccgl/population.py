@@ -69,12 +69,17 @@ def population_from_embeddings(cohort, per_patient_views) -> PopulationGraph:
     """Aggregate per-view embeddings into a population graph matching the cohort."""
     if len(per_patient_views) != len(cohort.patients):
         raise ValueError(f"{len(per_patient_views)} patient embeddings for a cohort of {len(cohort.patients)} patients")
-    features = np.stack([patient_embedding(views) for views in per_patient_views])
+    features = []
+    for entry, (patient, views) in enumerate(zip(cohort.patients, per_patient_views)):
+        try:
+            features.append(patient_embedding(views))
+        except ValueError as err:
+            raise ValueError(f"patient {patient.id!r} (entry {entry}): {err}") from None
     splits = [p.split for p in cohort.patients]
     if "unassigned" in splits:
         raise ValueError("cohort has unassigned patients; run split assignment first")
     return PopulationGraph(
-        node_features=features,
+        node_features=np.stack(features),
         labels=cohort.labels(),
         train_mask=np.array([s == "train" for s in splits]),
         val_mask=np.array([s == "val" for s in splits]),
@@ -127,29 +132,28 @@ def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
     return np.column_stack([np.repeat(np.arange(p), k), k_nearest(dist, k).ravel()])
 
 
-def _edge_conv_t(x, nbr: np.ndarray, leaves: dict, prefix: str, aggregation: str) -> Tensor:
-    """EdgeConv phi(x_i || x_j - x_i) aggregated over node i's k neighbours, row i of ``nbr``.
+def _edge_conv_t(x, nbr: np.ndarray, leaves: dict, prefix: str) -> Tensor:
+    """DGCNN's EdgeConv max_j relu(x_i W_a + (x_j - x_i) W_b + b1) over row i of ``nbr``, then w2, b2 per node.
 
-    The first layer of phi is linear, so on edge (i, j) it equals
-    x_i (W_a - W_b) + x_j W_b with W_a, W_b the top and bottom halves of w1.
-    Both terms are projected once per node; only the hidden activations
-    exist per edge, as one (P, k, H) block from ``ad.edge_relu``. ``x`` is
-    a (P, d) Tensor, or numpy node features, which are constants.
+    The edge function is x_i (W_a - W_b) + b1 plus x_j W_b, with W_a, W_b
+    the top and bottom halves of w1, so both terms are projected once per
+    node. relu is monotone and x_i's term is fixed over its neighbours, so
+    the max over j is relu(a_i + max_j b_j): each column's winning
+    neighbour is chosen off the tape, ties to the first, and gathered with
+    ``ad.take``. ``x`` is a (P, d) Tensor, or numpy node features, which
+    are constants.
     """
     n, d = x.shape
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):  # np.take would wrap a negative index
+        raise ValueError(f"neighbours must lie in [0, {n - 1}]")
     w1 = leaves[f"{prefix}/w1"]
-    w2, b2 = leaves[f"{prefix}/w2"], leaves[f"{prefix}/b2"]
     w_nbr = ad.take(w1, np.arange(d, 2 * d))
     w_self = ad.sub(ad.take(w1, np.arange(d)), w_nbr)
     a = ad.add(ad.matmul(x, w_self), leaves[f"{prefix}/b1"])
     b = ad.matmul(x, w_nbr)
-    h = ad.edge_relu(a, b, nbr)
-    k = nbr.shape[1]
-    if aggregation == "sum":
-        # the sum over neighbours commutes with the second linear layer
-        return ad.add(ad.matmul(ad.reduce_sum(h, axis=1), w2), ad.mul(b2, float(k)))
-    messages = ad.matmul(ad.reshape(h, (n * k, -1)), w2)
-    return ad.add(ad.reduce_max(ad.reshape(messages, (n, k, -1)), axis=1), b2)
+    winner = np.take_along_axis(nbr, np.take(ad.value(b), nbr, axis=0).argmax(axis=1), axis=1)
+    h = ad.relu(ad.add(a, ad.take(b, (winner, np.arange(winner.shape[1])))))
+    return ad.add(ad.matmul(h, leaves[f"{prefix}/w2"]), leaves[f"{prefix}/b2"])
 
 
 def _focal(pt, gamma: float):
@@ -196,7 +200,7 @@ def _dgc_forward_t(x: np.ndarray, leaves: dict, settings: DgcSettings, fixed_edg
         if nbr is None:
             nbr = knn_edges(ad.value(x), k)[:, 1].reshape(-1, k)
         record[f"layer{layer}"] = nbr
-        x = _edge_conv_t(x, nbr, leaves, f"layer{layer}", settings.aggregation)
+        x = _edge_conv_t(x, nbr, leaves, f"layer{layer}")
     logits = ad.matmul(x, leaves["classifier"])
     shift = ad.value(logits).max(axis=1, keepdims=True)
     e = ad.exp(ad.sub(logits, shift))

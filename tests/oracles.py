@@ -25,21 +25,8 @@ def _as_tensor(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# segment reductions on the tape
+# segment reduction on the tape
 # ---------------------------------------------------------------------------
-
-def segment_sum(a, segments, n_segments: int) -> Tensor:
-    """Sum rows of a into n_segments buckets given per-row segment ids."""
-    a = _as_tensor(a)
-    segments = np.asarray(segments, dtype=np.int64)
-    if segments.shape[0] != a.data.shape[0]:
-        raise ValueError(f"segment ids ({segments.shape[0]}) must match rows ({a.data.shape[0]})")
-    val = np.zeros((n_segments,) + a.data.shape[1:])
-    np.add.at(val, segments, a.data)
-    out = Tensor(val, (a,))
-    out._vjp = lambda g: (g[segments],)
-    return out
-
 
 def segment_max(a, segments, n_segments: int) -> Tensor:
     """Per-segment max over rows; segment ids must be sorted ascending."""
@@ -127,33 +114,24 @@ def take_along_axis(a, index, axis: int) -> Tensor:
 # per-edge EdgeConv
 # ---------------------------------------------------------------------------
 
-def _phi_t(x: Tensor, leaves: dict, prefix: str) -> Tensor:
-    """Two-layer fully connected map applied row-wise."""
-    h = ad.relu(ad.add(ad.matmul(x, leaves[f"{prefix}/w1"]), leaves[f"{prefix}/b1"]))
-    return ad.add(ad.matmul(h, leaves[f"{prefix}/w2"]), leaves[f"{prefix}/b2"])
+def edge_conv_t(x: Tensor, edges: np.ndarray, leaves: dict, prefix: str) -> Tensor:
+    """DGCNN's EdgeConv: relu((x_i || x_j - x_i) w1 + b1) on every edge, a segment max per source, then w2, b2.
 
-
-def edge_conv_t(
-    x: Tensor,
-    edges: np.ndarray,
-    leaves: dict,
-    prefix: str,
-    aggregation: str = "sum",
-) -> Tensor:
-    """phi(x_i || x_j - x_i) on every edge, then a segment reduction per source."""
+    Each edge is its own (1, 2d) product with w1, so two edges with equal
+    inputs get equal bits and tie exactly; one (E, 2d) BLAS product can
+    round a row differently by its position.
+    """
     n = x.data.shape[0]
     src, dst = edges[:, 0], edges[:, 1]
     counts = np.bincount(src, minlength=n)
     if np.any(counts == 0):
         raise ValueError(f"isolated node {int(np.flatnonzero(counts == 0)[0])}")
-    h_src = gather_rows(x, src)
-    h_dst = gather_rows(x, dst)
-    messages = _phi_t(ad.concat([h_src, ad.sub(h_dst, h_src)], axis=1), leaves, prefix)
-    if aggregation == "sum":
-        return segment_sum(messages, src, n)
-    if aggregation == "max":
-        return segment_max(messages, src, n)
-    raise ValueError(f"unknown aggregation {aggregation!r}")
+    h_src = gather_rows(x, src[:, None])
+    h_dst = gather_rows(x, dst[:, None])
+    edge = ad.concat([h_src, ad.sub(h_dst, h_src)], axis=2)
+    hidden = ad.relu(ad.add(ad.matmul(edge, leaves[f"{prefix}/w1"]), leaves[f"{prefix}/b1"]))
+    pooled = segment_max(ad.reduce_sum(hidden, axis=1), src, n)
+    return ad.add(ad.matmul(pooled, leaves[f"{prefix}/w2"]), leaves[f"{prefix}/b2"])
 
 
 # ---------------------------------------------------------------------------

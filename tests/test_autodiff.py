@@ -108,7 +108,7 @@ class TestGradCheck:
             e = ad.exp(ad.mul(h, 0.2))
             q = ad.div(e, ad.reduce_sum(e, axis=1, keepdims=True))
             picked = ad.take(q, (np.array([0, 2]), np.array([1, 0])))
-            pooled = ad.reduce_sum(ad.reshape(ad.power(h, 2.0), (5, 3, 1)), axis=1)
+            pooled = ad.reduce_sum(ad.power(h, 2.0), axis=1, keepdims=True)
             top = ad.reduce_max(ad.sqrt(ad.add(pooled, 1.0)), axis=0)
             return ad.add(ad.reduce_sum(ad.log(picked)), ad.reduce_mean(top))
 
@@ -128,18 +128,6 @@ class TestGradCheck:
             )
 
         assert ad.grad_check(f, store, eps=1e-5, samples=30, seed=4) < 1e-6
-
-    def test_edge_relu_with_repeated_neighbours(self):
-        rng = np.random.default_rng(5)
-        store = make_store(A=rng.standard_normal((4, 3)), B=rng.standard_normal((5, 3)))
-        nbr = np.array([[1, 1, 4], [0, 2, 2], [3, 3, 3], [4, 0, 1]])
-        weights = rng.standard_normal((4, 3, 3))
-
-        def f(leaves):
-            h = ad.edge_relu(leaves["A"], leaves["B"], nbr)
-            return ad.reduce_sum(ad.mul(ad.power(h, 2.0), weights))
-
-        assert ad.grad_check(f, store, eps=1e-5, samples=27, seed=6) < 1e-6
 
     def test_eps_bounds(self):
         store = make_store(w=np.ones(2))
@@ -249,7 +237,6 @@ class TestPrimitives:
 
 
 # each step maps the running value h to a new (3, 3) one; k(x) passes a constant x as numpy or as Tensor(x)
-NBR = np.array([[0, 2], [1, 1], [2, 0]])
 STEPS = {
     "add": lambda h, c, k: ad.add(h, k(c)),
     "add_left": lambda h, c, k: ad.add(k(c), h),
@@ -266,12 +253,10 @@ STEPS = {
     "exp": lambda h, c, k: ad.exp(ad.mul(h, k(0.1))),
     "log_sqrt": lambda h, c, k: ad.log(ad.sqrt(ad.add(ad.mul(h, h), k(1.0)))),
     "power_neg": lambda h, c, k: ad.neg(ad.power(h, 2.0)),
-    "transpose_reshape": lambda h, c, k: ad.reshape(ad.reshape(ad.transpose(h), (9,)), (3, 3)),
+    "transpose": lambda h, c, k: ad.transpose(h),
     "reduce_constant": lambda h, c, k: ad.add(h, ad.reduce_mean(ad.reduce_max(k(c), axis=1, keepdims=True), axis=0)),
     "reduce": lambda h, c, k: ad.mul(h, ad.reduce_sum(ad.mul(h, k(c)), axis=1, keepdims=True)),
     "concat_take": lambda h, c, k: ad.take(ad.concat([k(c), h, k(c.T)], axis=0), np.array([3, 0, 5])),
-    "edge_relu": lambda h, c, k: ad.reduce_sum(ad.edge_relu(h, k(c), NBR), axis=1),
-    "edge_relu_left": lambda h, c, k: ad.reduce_sum(ad.edge_relu(k(c), h, NBR), axis=1),
     "leaf": lambda h, c, k: ad.mul(h, ad.tanh(k(c))),
 }
 
@@ -309,17 +294,15 @@ class TestConstantRule:
             *(op(a, b) for op in (ad.add, ad.sub, ad.mul, ad.div)),
             *(op(b) for op in (ad.neg, ad.transpose, ad.relu, ad.exp, ad.log, ad.sqrt, ad.tanh)),
             ad.matmul(a, b.T),
-            ad.reshape(a, (3, 2)),
             ad.power(b, 3.0),
             ad.reduce_sum(a),
             ad.reduce_mean(a, axis=0),
             ad.reduce_max(a, axis=1, keepdims=True),
             ad.concat([a, b], axis=1),
             ad.take(a, (np.array([1, 0]), np.array([2, 2]))),
-            ad.edge_relu(a, b, np.zeros((2, 1), dtype=int)),
         ]
         assert [type(r) for r in results] == [np.ndarray] * len(results)
-        assert np.array_equal(results[0], a + b) and np.array_equal(results[-1], np.full((2, 1, 3), 1.5))
+        assert np.array_equal(results[0], a + b) and np.array_equal(results[-1], np.full(2, -0.5))
 
     def test_recorded_parents_are_the_tensor_operands(self):
         w = Tensor(np.ones((2, 3)))
@@ -329,60 +312,12 @@ class TestConstantRule:
             ad.div(w, c),
             ad.matmul(c.T, w),
             ad.concat([c, w, c]),
-            ad.edge_relu(c, w, np.zeros((2, 1), dtype=int)),
         ]
-        assert [out._parents for out in outs] == [(w,)] * 5
+        assert [out._parents for out in outs] == [(w,)] * 4
         assert ad.add(w, w)._parents == (w, w)
-        loss = ad.reduce_sum(ad.concat([ad.reshape(ad.reduce_sum(out), (1,)) for out in outs]))
+        loss = ad.reduce_sum(ad.concat([ad.reduce_sum(out, keepdims=True) for out in outs]))
         for node in ad.Tape.trace(loss).nodes:
             assert all(isinstance(parent, Tensor) for parent in node._parents)
-
-
-@st.composite
-def edge_relu_cases(draw):
-    """(a, b, nbr): k = 0, k = 1 and H = 1 are common, neighbours repeat, and integer values make exact-zero sums."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    k, hidden = draw(st.integers(0, 4)), draw(st.integers(1, 4))
-    a, b = rng.standard_normal((n, hidden)), rng.standard_normal((m, hidden))
-    if draw(st.booleans()):
-        a, b = np.round(2.0 * a), np.round(2.0 * b)
-    return a, b, rng.integers(0, m, (n, k))
-
-
-class TestEdgeRelu:
-    @settings(max_examples=150, deadline=None)
-    @given(case=edge_relu_cases(), seed=st.integers(0, 999), through_sum=st.booleans())
-    def test_matches_take_add_relu_chain_bitwise(self, case, seed, through_sum):
-        a0, b0, nbr = case
-        (n, hidden), k = a0.shape, nbr.shape[1]
-        a, b, a_ref, b_ref = Tensor(a0), Tensor(b0), Tensor(a0), Tensor(b0)
-        out = ad.edge_relu(a, b, nbr)
-        gathered = ad.reshape(ad.take(b_ref, nbr.ravel()), (n, k, hidden))
-        ref = ad.relu(ad.add(ad.reshape(a_ref, (n, 1, hidden)), gathered))
-        assert out.shape == (n, k, hidden) and np.array_equal(out.data, ref.data)
-        # magnitudes that differ by up to 16 decades make the sums depend on accumulation order
-        rng = np.random.default_rng(seed)
-        shape = (n, hidden) if through_sum else out.shape
-        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-
-        def loss(h):
-            if through_sum:
-                # the population "sum" path: h's gradient arrives as a broadcast view
-                h = ad.reduce_sum(h, axis=1)
-            return ad.reduce_sum(ad.mul(h, g))
-
-        ad.backward(loss(out))
-        ad.backward(loss(ref))
-        assert np.array_equal(a.grad, a_ref.grad) and np.array_equal(b.grad, b_ref.grad)
-
-    @pytest.mark.parametrize(
-        "a_shape, b_shape, nbr_shape",
-        [((3, 2), (4, 3), (3, 2)), ((3, 2), (4, 2), (2, 2)), ((3, 2), (4, 2), (6,)), ((3,), (4, 2), (3, 1))],
-    )
-    def test_rejects_mismatched_shapes(self, a_shape, b_shape, nbr_shape):
-        with pytest.raises(ValueError, match="edge_relu shape mismatch"):
-            ad.edge_relu(np.zeros(a_shape), np.zeros(b_shape), np.zeros(nbr_shape, dtype=int))
 
 
 class TestAdam:

@@ -16,13 +16,14 @@ def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch, capsys):
     # the change is faster in pairs 1, 2 and 4 and scores higher in pair 3 only
     walls = {"parent": iter([2.0, 2.0, 1.0, 2.0]), "change": iter([1.0, 1.5, 3.0, 1.9])}
     aucs = {"parent": iter([0.5, 0.5, 0.5, 0.5]), "change": iter([0.5, 0.4, 0.6, 0.5])}
+    attempted = {"parent": iter([88, 88, 92, 88]), "change": iter([104, 100, 96, 104])}
     order = []
 
     def fake_run(checkout, workload, seed, seconds):
         side = checkout.name
         order.append(side)
         metrics = {"wall_s": {"value": next(walls[side])}, "test_auc": {"value": next(aucs[side])}}
-        return {"correct": True, "failed": 0, "metrics": metrics}
+        return {"correct": True, "attempted": next(attempted[side]), "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "w", "--pairs", "4"]
@@ -32,6 +33,8 @@ def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch, capsys):
     assert order == ["parent", "change", "change", "parent", "parent", "change", "change", "parent"]
     assert entry["first_in_pair"] == ["parent", "change", "parent", "change"]
     assert entry["all_correct"] and entry["failed"] == 0
+    # each side's runs in run order, so peak RSS can be read against its repetitions
+    assert entry["attempted"] == {"parent": [88, 88, 92, 88], "change": [104, 100, 96, 104]}
     wall = entry["metrics"]["wall_s"]
     assert wall["change_wins"] == "3/4" and entry["metrics"]["test_auc"]["change_wins"] == "1/4"
     assert wall["parent"] == {"median": 2.0, "q1": 1.75, "q3": 2.0, "runs": [2.0, 2.0, 1.0, 2.0]}
@@ -49,7 +52,7 @@ def run_fake_pairs(tmp_path, monkeypatch, capsys, runs: dict) -> dict:
     values = {side: iter(runs[side]) for side in runs}
 
     def fake_run(checkout, workload, seed, seconds):
-        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": next(values[checkout.name])}}}
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {"wall_s": {"value": next(values[checkout.name])}}}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "w"]

@@ -74,6 +74,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^encoder\.lambda_mode: unknown config field"):
             config_from_dict(doc)
 
+    def test_removed_aggregation_names_its_path(self):
+        doc = tiny_config_dict("x")
+        doc["dgc"]["aggregation"] = "max"
+        with pytest.raises(ConfigError, match=r"^dgc\.aggregation: unknown config field"):
+            config_from_dict(doc)
+
     def test_requires_exactly_one_data_source(self):
         doc = tiny_config_dict("x")
         del doc["data"]
@@ -102,7 +108,7 @@ class TestConfig:
             ("data.synth.subtypes_per_class", [2, "2"]),
             ("edge_policy.per_node_top", "3"),
             ("dgc.k", 2.5),
-            ("dgc.aggregation", 1),
+            ("dgc.gamma", "2"),
             ("out_dir", 3),
             ("data.manifest", 5),
         ],
@@ -222,7 +228,7 @@ class TestConfigOwners:
             ("n_views", 2.0),
             ("edge_policy.per_node_top", 2.5),
             ("out_dir", 5),
-            ("dgc.aggregation", 1),
+            ("dgc.gamma", "2"),
             ("data.manifest", 5),
             ("seeds", [1.7, True]),
             ("seeds", 3),
@@ -262,8 +268,8 @@ class TestConfigOwners:
     def test_python_built_settings_are_range_checked(self):
         with pytest.raises(ConfigError, match=r"^hidden1: must be >= 1, got 0$"):
             EncoderSettings(hidden1=0)
-        with pytest.raises(ConfigError, match=r"^aggregation: must be 'sum' or 'max', got 'mean'$"):
-            DgcSettings(aggregation="mean")
+        with pytest.raises(ConfigError, match=r"^k: must be >= 1, got 0$"):
+            DgcSettings(k=0)
         with pytest.raises(ConfigError, match=r"^per_node_top: must be >= 1, got 0$"):
             EdgePolicy(per_node_top=0)
 

@@ -258,6 +258,14 @@ class TestExportPopulationGraph:
         with pytest.raises(ValueError, match="format"):
             export_population_graph(self._features(), [0, 1] * 4, tmp_path / "g.x", "svg")
 
+    @pytest.mark.parametrize("bad, shown", [(0.7, "0.7"), (2, "2"), (-1, "-1")])
+    def test_labels_other_than_zero_and_one_are_refused(self, tmp_path, bad, shown):
+        # int() would write 0.7 as label=0, and 2 or -1 as labels the DOT schema refuses
+        labels = [0, 1, 0, bad, 1, 0, 1, 0]
+        with pytest.raises(ValueError, match=rf"^label of node 3 is {shown}, expected 0 or 1$"):
+            export_population_graph(self._features(), labels, tmp_path / "g.dot", "dot")
+        assert not (tmp_path / "g.dot").exists()
+
     def test_clusters_keep_edges_within(self, tmp_path):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((10, 3)) * 0.1 + 10.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ccgl import autodiff as ad
 from ccgl import cohort, connectivity
-from ccgl.autodiff import ParamStore, Tensor
+from ccgl.autodiff import Tensor
 from ccgl.cohort import RoiTimeSeries
 from ccgl.config import EncoderSettings
 from ccgl.connectivity import CorrelationMatrix, EdgePolicy, ViewGraph, build_fc_graph
@@ -32,20 +32,6 @@ class TestPrimitives:
     def test_segment_max_requires_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
             oracles.segment_max(Tensor(np.zeros((3, 2))), np.array([1, 0, 1]), 2)
-
-    def test_segment_sum_grad_check(self):
-        rng = np.random.default_rng(1)
-        store = ParamStore()
-        store.add("W", rng.standard_normal((4, 3)))
-        x = rng.standard_normal((5, 4))
-        seg = np.array([0, 0, 1, 1, 1])
-
-        def f(leaves):
-            h = ad.tanh(ad.matmul(Tensor(x), leaves["W"]))
-            pooled = oracles.segment_sum(ad.power(h, 2.0), seg, 2)
-            return ad.reduce_mean(ad.reduce_max(ad.sqrt(ad.add(pooled, 1.0)), axis=0))
-
-        assert ad.grad_check(f, store, eps=1e-5, samples=12, seed=2) < 1e-6
 
 
 @st.composite
@@ -260,8 +246,8 @@ class TestPowerIterationOracle:
 
 class TestEdgeConvOracle:
     @settings(max_examples=60, deadline=None)
-    @given(case=point_sets(), hidden=st.integers(1, 6), aggregation=st.sampled_from(["sum", "max"]), seed=st.integers(0, 999))
-    def test_node_level_matches_per_edge(self, case, hidden, aggregation, seed):
+    @given(case=point_sets(), hidden=st.integers(1, 6), seed=st.integers(0, 999))
+    def test_node_level_matches_per_edge(self, case, hidden, seed):
         x0, k = case
         p, d = x0.shape
         rng = np.random.default_rng(seed)
@@ -278,7 +264,7 @@ class TestEdgeConvOracle:
         for conv, graph in ((_edge_conv_t, edges[:, 1].reshape(p, k)), (oracles.edge_conv_t, edges)):
             x = Tensor(x0.copy())
             leaves = {name: Tensor(value.copy()) for name, value in params.items()}
-            out = conv(x, graph, leaves, "l", aggregation)
+            out = conv(x, graph, leaves, "l")
             ad.backward(ad.reduce_sum(ad.mul(out, loss_weights)))
             results.append((out.data, x.grad, [leaves[name].grad for name in params]))
         (out, x_grad, grads), (ref_out, ref_x_grad, ref_grads) = results

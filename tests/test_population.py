@@ -55,6 +55,15 @@ class TestPatientEmbedding:
         with pytest.raises(ValueError, match="zero-norm aggregate"):
             patient_embedding([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
 
+    def test_antipodal_views_name_the_patient(self):
+        spec = SynthSpec(n_patients=8, n_rois=8, n_timepoints=160)
+        cohort = split_cohort(synth_cohort(spec, 0), (0.7, 0.1, 0.2), 0)
+        views = [[np.ones(4)] for _ in range(8)]
+        views[5] = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])]
+        expected = rf"^patient '{cohort.patients[5].id}' \(entry 5\): zero-norm aggregate$"
+        with pytest.raises(ValueError, match=expected):
+            population_from_embeddings(cohort, views)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no view"):
             patient_embedding([])
@@ -124,7 +133,7 @@ def neighbours(x, k):
 
 def edge_conv(x, nbr, phi_weights):
     leaves = {f"phi/{k}": ad.Tensor(v) for k, v in phi_weights.items()}
-    return _edge_conv_t(ad.Tensor(x), nbr, leaves, "phi", "sum").data
+    return _edge_conv_t(ad.Tensor(x), nbr, leaves, "phi").data
 
 
 class TestEdgeConv:
@@ -170,11 +179,27 @@ class TestEdgeConv:
             with pytest.raises(ValueError, match=r"neighbours must lie in \[0, 2\]"):
                 edge_conv(np.zeros((3, 2)), np.array([[1], [bad], [0]]), projection_phi(2))
 
+    def test_grad_check_with_repeated_neighbours(self):
+        # a neighbour listed twice ties with itself, and its gradient arrives once
+        rng = np.random.default_rng(5)
+        store = ad.ParamStore()
+        store.add("x", rng.standard_normal((5, 3)))
+        for name, shape in (("w1", (6, 4)), ("b1", (4,)), ("w2", (4, 3)), ("b2", (3,))):
+            store.add(f"phi/{name}", rng.standard_normal(shape))
+        nbr = np.array([[1, 1, 4], [0, 2, 2], [3, 3, 3], [4, 0, 1], [0, 0, 2]])
+        weights = rng.standard_normal((5, 3))
+
+        def f(leaves):
+            out = _edge_conv_t(leaves["x"], nbr, leaves, "phi")
+            return ad.reduce_sum(ad.mul(ad.power(out, 2.0), weights))
+
+        assert ad.grad_check(f, store, eps=1e-5, samples=40, seed=6) < 1e-6
+
     def test_max_tie_routes_gradient_to_first_neighbour(self):
         # nodes 1 and 2 coincide, so node 0 receives two identical messages
         x = ad.Tensor(np.array([[0.0], [1.0], [1.0]]))
         leaves = {f"phi/{k}": ad.Tensor(v) for k, v in projection_phi(1).items()}
-        out = _edge_conv_t(x, neighbours(x.data, 2), leaves, "phi", "max")
+        out = _edge_conv_t(x, neighbours(x.data, 2), leaves, "phi")
         assert out.data[0, 0] == 1.0
         ad.backward(ad.reduce_sum(ad.take(out, np.array([0]))))
         assert np.array_equal(x.grad, np.array([[-1.0], [1.0], [0.0]]))
@@ -231,10 +256,9 @@ class TestDgcForward:
         _, record = _dgc_forward_t(pop.node_features, params.values, settings)
         assert set(record) == {"layer1", "layer2"}
 
-    @pytest.mark.parametrize("aggregation", ["sum", "max"])
-    def test_tape_free_forward_equals_the_tape_path(self, aggregation):
+    def test_tape_free_forward_equals_the_tape_path(self):
         pop = random_population(15, p=12)
-        settings = DgcSettings(k=3, hidden1=6, hidden2=5, aggregation=aggregation)
+        settings = DgcSettings(k=3, hidden1=6, hidden2=5)
         params = init_dgc_params(6, settings, seed=7)
         probs = dgc_forward(pop, params, settings=settings)
         taped, _ = _dgc_forward_t(pop.node_features, ad.make_leaves(params), settings)
@@ -243,7 +267,7 @@ class TestDgcForward:
         assert np.array_equal(probs, taped.data)
 
     def test_settings_are_required(self):
-        # parameters trained under one aggregation and k give other probabilities under the defaults
+        # parameters trained under one k give other probabilities under the default k
         pop = random_population(4)
         params = init_dgc_params(6, DgcSettings(k=3, hidden1=5, hidden2=4), seed=0)
         with pytest.raises(TypeError, match="settings"):
@@ -297,10 +321,9 @@ class TestDgcForward:
 
         assert ad.grad_check(f, params, eps=1e-5, samples=30, seed=5) < 1e-4
 
-    @pytest.mark.parametrize("aggregation", ["sum", "max"])
-    def test_pinned_input_graph_equals_a_rebuild(self, aggregation):
+    def test_pinned_input_graph_equals_a_rebuild(self):
         pop = random_population(13, p=12)
-        settings = DgcSettings(k=3, hidden1=6, hidden2=5, aggregation=aggregation)
+        settings = DgcSettings(k=3, hidden1=6, hidden2=5)
         leaves = ad.make_leaves(init_dgc_params(6, settings, seed=6))
         rebuilt, rebuilt_edges = _dgc_forward_t(pop.node_features, leaves, settings)
         layer1 = neighbours(pop.node_features, settings.k)
@@ -490,12 +513,11 @@ def relabelled_populations(draw):
 class TestPatientRelabelling:
     """Relabelling the patients permutes the classifier's probabilities with them."""
 
-    @pytest.mark.parametrize("aggregation", ["sum", "max"])
     @settings(max_examples=30, deadline=None)
     @given(case=relabelled_populations())
-    def test_probabilities_permute_with_the_patients(self, aggregation, case):
+    def test_probabilities_permute_with_the_patients(self, case):
         pop, moved, perm, k = case
-        settings_ = DgcSettings(k=k, hidden1=6, hidden2=5, aggregation=aggregation)
+        settings_ = DgcSettings(k=k, hidden1=6, hidden2=5)
         params = init_dgc_params(6, settings_, seed=0)
         before = dgc_forward(pop, params, settings=settings_)
         np.testing.assert_allclose(dgc_forward(moved, params, settings=settings_), before[perm], rtol=0, atol=1e-12)
